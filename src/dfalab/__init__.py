@@ -26,11 +26,9 @@ from .ir import (
     validate_program,
 )
 from .cfg_metrics import (
-    CfgMetrics,
     SearchBudgetExceeded,
     WeightTable,
     classify_back_edges,
-    compute_metrics,
     depth,
     max_backedge_acyclic_weight,
     traversal_order,
@@ -78,7 +76,6 @@ from .edg import (
     check_monotonic_entity_dependence,
     degree_of_dependence,
     delta_vector,
-    entry_nodes,
     export_edg,
     path_delta,
 )

@@ -379,6 +379,12 @@ def make_bitvector_framework(program: Program, kind: str,
     dfpmod: dict[int, frozenset] = {}
     dfpuse: dict[int, frozenset] = {}
     sources: dict[int, frozenset] = {}
+    by_var: dict[str, list] = {}
+    by_stmt: dict[int, list] = {}
+    if kind != AVAIL_KIND:
+        for e in entities:
+            by_var.setdefault(e.var, []).append(e)
+            by_stmt.setdefault(e.stmt, []).append(e)
 
     for node, stmt in program.nodes.items():
         target = stmt_target(stmt)
@@ -392,26 +398,18 @@ def make_bitvector_framework(program: Program, kind: str,
                     bottom_written.append(key)
                 elif key == computed:
                     writes.append((space.index[key], lattice.top))
-        elif kind == REACH_KIND:
-            if target is not None:
-                for d in entities:
-                    if d.stmt == node:
-                        writes.append((space.index[d], lattice.bottom))
-                        bottom_written.append(d)
-                    elif d.var == target:
-                        writes.append((space.index[d], lattice.top))
-        else:  # live
-            used = stmt_uses(stmt)
-            for u in entities:
-                if u.stmt == node and u.var in used:
-                    writes.append((space.index[u], lattice.bottom))
-                    bottom_written.append(u)
-                elif target is not None and u.var == target and u.stmt != node:
-                    writes.append((space.index[u], lattice.top))
+        else:
+            # Renamed instances: the statement generates its own and an
+            # assignment kills the other instances of its target.
+            for e in by_var.get(target, ()):
+                if e.stmt != node:
+                    writes.append((space.index[e], lattice.top))
+            for e in by_stmt.get(node, ()):
+                writes.append((space.index[e], lattice.bottom))
+                bottom_written.append(e)
         transfers[node] = _constant_write_transfer(space, tuple(writes))
-        dfpmod[node] = frozenset(bottom_written)
+        dfpmod[node] = sources[node] = frozenset(bottom_written)
         dfpuse[node] = frozenset()
-        sources[node] = frozenset(bottom_written)
 
     return FrameworkInstance(
         kind=kind, direction=direction, space=space, transfers=transfers,
@@ -429,84 +427,3 @@ def make_framework(program: Program, kind: str,
     if kind in BITVECTOR_KINDS:
         return make_bitvector_framework(program, kind, cfg)
     raise ValueError(f"unknown analysis kind {kind!r}; expected one of {ANALYSIS_KINDS}")
-
-
-# ---------------------------------------------------------------------------
-# set-based renamed reaching definitions / live uses
-#
-# These are the classic per-statement set formulations.  EDG
-# construction uses them to resolve which renamed instance reaches a
-# statement; they compute the same solutions as the framework-based
-# reach/live analyses (a cross-check lives in the test suite).
-
-def reaching_definitions(cfg: ControlFlowGraph) -> dict[int, frozenset[DefId]]:
-    """Definitions reaching the entry of each node."""
-    program = cfg.program
-    defs_by_var: dict[str, set[DefId]] = {}
-    gen: dict[int, frozenset[DefId]] = {}
-    for node, stmt in program.nodes.items():
-        target = stmt_target(stmt)
-        if target is not None:
-            d = DefId(target, node)
-            defs_by_var.setdefault(target, set()).add(d)
-            gen[node] = frozenset((d,))
-        else:
-            gen[node] = frozenset()
-
-    in_sets: dict[int, frozenset[DefId]] = {n: frozenset() for n in cfg.nodes}
-    out_sets: dict[int, frozenset[DefId]] = {n: frozenset() for n in cfg.nodes}
-    pending = list(cfg.nodes)
-    queued = set(pending)
-    while pending:
-        node = pending.pop(0)
-        queued.discard(node)
-        merged: set[DefId] = set()
-        for pred in cfg.predecessors[node]:
-            merged |= out_sets[pred]
-        in_sets[node] = frozenset(merged)
-        target = stmt_target(cfg.statement(node))
-        if target is not None:
-            survivors = {d for d in merged if d.var != target}
-        else:
-            survivors = merged
-        new_out = frozenset(survivors | gen[node])
-        if new_out != out_sets[node]:
-            out_sets[node] = new_out
-            for succ in cfg.successors[node]:
-                if succ not in queued:
-                    pending.append(succ)
-                    queued.add(succ)
-    return in_sets
-
-
-def live_uses(cfg: ControlFlowGraph) -> dict[int, frozenset[UseId]]:
-    """Renamed uses live at the exit of each node."""
-    program = cfg.program
-    gen: dict[int, frozenset[UseId]] = {}
-    for node, stmt in program.nodes.items():
-        gen[node] = frozenset(UseId(v, node) for v in stmt_uses(stmt))
-
-    in_sets: dict[int, frozenset[UseId]] = {n: frozenset() for n in cfg.nodes}
-    out_sets: dict[int, frozenset[UseId]] = {n: frozenset() for n in cfg.nodes}
-    pending = list(reversed(cfg.nodes))
-    queued = set(pending)
-    while pending:
-        node = pending.pop(0)
-        queued.discard(node)
-        merged: set[UseId] = set()
-        for succ in cfg.successors[node]:
-            merged |= in_sets[succ]
-        out_sets[node] = frozenset(merged)
-        target = stmt_target(cfg.statement(node))
-        if target is not None:
-            survivors = {u for u in merged if u.var != target}
-        else:
-            survivors = merged
-        new_in = frozenset(survivors | gen[node])
-        if new_in != in_sets[node]:
-            in_sets[node] = new_in
-            for pred in cfg.predecessors[node]:
-                if pred not in queued:
-                    pending.append(pred)
-                    queued.add(pred)
-    return out_sets

@@ -20,7 +20,13 @@ from functools import cached_property
 
 from .analyses import ANALYSIS_KINDS, make_framework
 from .cfg_metrics import DEFAULT_NODE_CAP, DEFAULT_STEP_CAP, WeightTable
-from .edg import DEFAULT_DELTA_STEP_CAP, EntityDependenceGraph, build_edg, degree_of_dependence
+from .edg import (
+    DEFAULT_DELTA_STEP_CAP,
+    RENAMED_KIND,
+    EntityDependenceGraph,
+    build_edg,
+    degree_of_dependence,
+)
 from .engine import (
     DEFAULT_CONVENTION,
     FrameworkInstance,
@@ -97,7 +103,9 @@ class ProgramPipeline:
     """Metrics -> framework -> solve -> EDG -> delta -> bounds, with caching.
 
     One pipeline per program; CFG metrics and pairwise weights are
-    shared across analysis kinds.
+    shared across analysis kinds, and the ``reach``/``live`` solutions
+    also resolve the ``cp``/``faint`` EDG instances.  Solves record no
+    trace.
     """
 
     def __init__(self, program: Program, *,
@@ -113,6 +121,7 @@ class ProgramPipeline:
         self._frameworks: dict[str, FrameworkInstance] = {}
         self._solutions: dict[str, SolveResult] = {}
         self._edgs: dict[str, EntityDependenceGraph] = {}
+        self._deltas: dict[str, int] = {}
 
     @cached_property
     def depth(self) -> int:
@@ -126,20 +135,26 @@ class ProgramPipeline:
     def solution(self, kind: str) -> SolveResult:
         if kind not in self._solutions:
             self._solutions[kind] = round_robin_solve(
-                self.framework(kind), self.cfg, convention=self.convention)
+                self.framework(kind), self.cfg, convention=self.convention,
+                record_trace=False)
         return self._solutions[kind]
 
     def edg(self, kind: str) -> EntityDependenceGraph:
         if kind not in self._edgs:
-            self._edgs[kind] = build_edg(self.program, self.framework(kind),
-                                         cfg=self.cfg, weights=self.weights)
+            renamed = RENAMED_KIND.get(kind)
+            self._edgs[kind] = build_edg(
+                self.program, self.framework(kind), cfg=self.cfg,
+                weights=self.weights,
+                renamed=self.solution(renamed) if renamed else None)
         return self._edgs[kind]
 
     def delta(self, kind: str) -> int:
-        fw = self.framework(kind)
-        return degree_of_dependence(self.edg(kind), fw.lattice.height,
-                                    fw.monotonic_entity_dependence,
-                                    max_steps=self.delta_step_cap)
+        if kind not in self._deltas:
+            fw = self.framework(kind)
+            self._deltas[kind] = degree_of_dependence(
+                self.edg(kind), fw.lattice.height,
+                fw.monotonic_entity_dependence, max_steps=self.delta_step_cap)
+        return self._deltas[kind]
 
     def record(self, kind: str) -> BoundsRecord:
         fw = self.framework(kind)

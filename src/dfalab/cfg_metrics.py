@@ -15,9 +15,7 @@ longer desk-scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .ir import ControlFlowGraph
+from .ir import ControlFlowGraph, reachable
 
 DEFAULT_NODE_CAP = 64
 DEFAULT_STEP_CAP = 10_000_000
@@ -28,14 +26,6 @@ BACKWARD = "backward"
 
 class SearchBudgetExceeded(RuntimeError):
     """Exact path search aborted: input exceeds the configured budget."""
-
-
-@dataclass(frozen=True)
-class CfgMetrics:
-    """Back edges plus depth d for one control flow graph."""
-
-    back_edges: frozenset[tuple[int, int]]
-    depth: int
 
 
 def traversal_order(cfg: ControlFlowGraph, direction: str) -> tuple[int, ...]:
@@ -165,51 +155,20 @@ def max_backedge_acyclic_weight(
     _check_node_cap(cfg, node_cap)
     if frm == to:
         return 0
-    reach = _reachable(cfg, frm)
+    reach = reachable(frm, cfg.successors)
     if to not in reach:
         return None
     if back_edges is None:
         back_edges = classify_back_edges(cfg)
     # A back edge can only appear on a frm->to path if its source is
     # reachable from frm and its target reaches to.
-    co_reach = _co_reachable(cfg, to)
+    co_reach = reachable(to, cfg.predecessors)
     candidates = frozenset(
         (s, t) for (s, t) in back_edges if s in reach and t in co_reach)
     if not candidates:
         return 0
     search = _PathSearch(cfg, candidates, step_cap)
     return search.run(frm, to, -1)
-
-
-def compute_metrics(cfg: ControlFlowGraph, *,
-                    node_cap: int = DEFAULT_NODE_CAP,
-                    step_cap: int = DEFAULT_STEP_CAP) -> CfgMetrics:
-    back = classify_back_edges(cfg)
-    return CfgMetrics(back_edges=back,
-                      depth=depth(cfg, node_cap=node_cap, step_cap=step_cap,
-                                  back_edges=back))
-
-
-def _reachable(cfg: ControlFlowGraph, start: int) -> set[int]:
-    seen = {start}
-    stack = [start]
-    while stack:
-        for nxt in cfg.successors[stack.pop()]:
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return seen
-
-
-def _co_reachable(cfg: ControlFlowGraph, target: int) -> set[int]:
-    seen = {target}
-    stack = [target]
-    while stack:
-        for prv in cfg.predecessors[stack.pop()]:
-            if prv not in seen:
-                seen.add(prv)
-                stack.append(prv)
-    return seen
 
 
 class WeightTable:

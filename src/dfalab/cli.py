@@ -33,10 +33,23 @@ EXIT_BOUND_VIOLATION = 2
 
 
 def _parse_vars(raw: str) -> int | tuple[int, int]:
-    if "-" in raw.strip("-"):
-        lo, hi = raw.split("-", 1)
-        return (int(lo), int(hi))
-    return int(raw)
+    try:
+        if "-" in raw.strip("-"):
+            lo, hi = raw.split("-", 1)
+            count: int | tuple[int, int] = (int(lo), int(hi))
+        else:
+            count = int(raw)
+    except ValueError:
+        raise ValueError(f"--vars expects a count ('6') or a range ('4-8'), "
+                         f"got {raw!r}") from None
+    if isinstance(count, tuple) and count[0] > count[1]:
+        raise ValueError(f"--vars range {raw!r} is empty")
+    return count
+
+
+def _print_errors(errors: list[str]) -> None:
+    for line in errors:
+        print(f"dfalab: {line}", file=sys.stderr)
 
 
 def _load_programs(paths: list[Path], errors: list[str]):
@@ -44,7 +57,7 @@ def _load_programs(paths: list[Path], errors: list[str]):
     for path in paths:
         try:
             program = parse_program(path.read_text(encoding="utf-8"))
-        except (OSError, ParseError) as exc:
+        except (OSError, UnicodeDecodeError, ParseError) as exc:
             errors.append(f"{path}: {exc}")
             continue
         diags = validate_program(program)
@@ -80,8 +93,7 @@ def cmd_report(paths: list[str], kinds: list[str], fmt: str,
     programs = _load_programs([Path(p) for p in paths], errors)
     records = _records_for(programs, kinds, errors)
     _write_bytes(emit_report(records, fmt), out)
-    for line in errors:
-        print(line, file=sys.stderr)
+    _print_errors(errors)
     if errors:
         return EXIT_USAGE
     if any(r.bound_violated for r in records):
@@ -90,9 +102,10 @@ def cmd_report(paths: list[str], kinds: list[str], fmt: str,
 
 
 def cmd_generate(config: GeneratorConfig, count: int, out_dir: str) -> int:
+    programs = generate_corpus(config, count)
     directory = Path(out_dir)
     directory.mkdir(parents=True, exist_ok=True)
-    for i, program in enumerate(generate_corpus(config, count)):
+    for program in programs:
         (directory / f"{program.name}.prog").write_text(
             serialize_program(program), encoding="utf-8")
     return EXIT_OK
@@ -108,14 +121,13 @@ def cmd_corpus(directory: str, kinds: list[str], fmt: str,
     base = Path(directory)
     paths = sorted(base.glob("*.prog"))
     if not paths:
-        print(f"{directory}: no .prog files found", file=sys.stderr)
+        _print_errors([f"{directory}: no .prog files found"])
         return EXIT_USAGE
     errors: list[str] = []
     programs = _load_programs(paths, errors)
     records = _records_for(programs, kinds, errors)
     if not records:
-        for line in errors:
-            print(line, file=sys.stderr)
+        _print_errors(errors)
         return EXIT_USAGE
 
     report = emit_report(records, fmt)
@@ -149,8 +161,7 @@ def cmd_corpus(directory: str, kinds: list[str], fmt: str,
         (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n",
                                               encoding="utf-8")
 
-    for line in errors:
-        print(line, file=sys.stderr)
+    _print_errors(errors)
     if errors:
         return EXIT_USAGE
     if summary["violations"]:
@@ -203,11 +214,15 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "report":
         return cmd_report(args.files, kinds, args.format, args.out)
     if args.command == "generate":
-        config = GeneratorConfig(
-            seed=args.seed, node_budget=args.nodes,
-            variable_count=_parse_vars(args.vars), loop_depth=args.loops,
-            irreducible_edge_probability=args.irreducible)
-        return cmd_generate(config, args.count, args.out)
+        try:
+            config = GeneratorConfig(
+                seed=args.seed, node_budget=args.nodes,
+                variable_count=_parse_vars(args.vars), loop_depth=args.loops,
+                irreducible_edge_probability=args.irreducible)
+            return cmd_generate(config, args.count, args.out)
+        except ValueError as exc:
+            _print_errors([str(exc)])
+            return EXIT_USAGE
     if args.command == "corpus":
         return cmd_corpus(args.directory, kinds, args.format, args.out)
     return EXIT_USAGE

@@ -3,9 +3,10 @@
 An EDG node is an entity instantiated at the statement whose flow
 function computes it.  An edge alpha_i -> beta_j records that the
 value computed for beta at statement j directly reads the instance of
-alpha coming from statement i.  Instances are resolved with renamed
-reaching definitions (forward analyses) or renamed live uses
-(backward analyses); separable bit-vector instances never produce
+alpha coming from statement i.  Instances are resolved with the
+solution of the renamed reaching-definitions framework (``reach``, for
+forward analyses) or the renamed live-uses framework (``live``, for
+backward analyses); separable bit-vector instances never produce
 edges.
 
 Each edge carries the maximum back-edge count over acyclic CFG paths
@@ -25,13 +26,27 @@ budget (default one million) bounds the enumeration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Hashable, Iterable, Union
 
-from .analyses import CP_KIND, FAINT_KIND, BITVECTOR_KINDS, live_uses, reaching_definitions
-from .cfg_metrics import SearchBudgetExceeded, WeightTable
-from .engine import ComponentLattice, FrameworkInstance, TraceRecord
-from .ir import ControlFlowGraph, Program, build_cfg, stmt_target, stmt_uses
+from .analyses import (
+    BITVECTOR_KINDS,
+    CP_KIND,
+    FAINT_KIND,
+    LIVE_KIND,
+    REACH_KIND,
+    make_bitvector_framework,
+)
+from .cfg_metrics import FORWARD, SearchBudgetExceeded, WeightTable
+from .engine import (
+    ComponentLattice,
+    FrameworkInstance,
+    ProductValue,
+    SolveResult,
+    TraceRecord,
+    round_robin_solve,
+)
+from .ir import ControlFlowGraph, Program, build_cfg
 
 DEFAULT_DELTA_STEP_CAP = 1_000_000
 
@@ -42,7 +57,6 @@ class EntityNode:
 
     entity: Hashable
     stmt: int
-    value: object = field(default=None, compare=False)
 
     def label(self) -> str:
         return f"{self.entity}_{self.stmt}"
@@ -60,113 +74,93 @@ class EdgEdge:
 
 @dataclass(frozen=True)
 class EntityDependenceGraph:
+    """Nodes and edges of one EDG.
+
+    ``entry_nodes`` are the in-degree-zero nodes whose flow function
+    yields non-top on its own.  None means no information can enter:
+    every entity stays top and the analysis need not run.
+    """
+
     kind: str
     direction: str
     nodes: frozenset[EntityNode]
     edges: tuple[EdgEdge, ...]
     entry_nodes: frozenset[EntityNode]
 
-    def successors(self) -> dict[EntityNode, list[tuple[EntityNode, int]]]:
-        adj: dict[EntityNode, list[tuple[EntityNode, int]]] = {n: [] for n in self.nodes}
-        for edge in self.edges:
-            adj[edge.src].append((edge.dst, edge.weight))
-        return adj
-
-    def edge_weight(self, src: EntityNode, dst: EntityNode) -> int:
-        for edge in self.edges:
-            if edge.src == src and edge.dst == dst:
-                return edge.weight
-        raise KeyError(f"no edge {src} -> {dst}")
-
 
 class MalformedPathError(ValueError):
     """Structured path does not decompose into disjoint segments and cycles."""
+
+
+# The bit-vector analysis whose solution resolves the renamed instances
+# a non-separable kind's EDG connects.
+RENAMED_KIND = {CP_KIND: REACH_KIND, FAINT_KIND: LIVE_KIND}
 
 
 def _edge_sort_key(edge: EdgEdge):
     return (edge.src.stmt, str(edge.src.entity), edge.dst.stmt, str(edge.dst.entity))
 
 
+def _at_bottom(value: ProductValue) -> list[Hashable]:
+    bottom = value.space.lattice.bottom
+    return [e for e, v in zip(value.space.entities, value.values) if v == bottom]
+
+
 def build_edg(program: Program, fw: FrameworkInstance, *,
               cfg: ControlFlowGraph | None = None,
-              weights: WeightTable | None = None) -> EntityDependenceGraph:
+              weights: WeightTable | None = None,
+              renamed: SolveResult | None = None) -> EntityDependenceGraph:
     """Construct the EDG for one framework instance.
 
-    Forward non-separable instances connect reaching definitions to
-    the statements that read them; backward ones connect live uses of
-    an assigned variable to the uses in the assignment.  Entry nodes
-    are the instances that can turn non-top on their own.
+    Each renamed instance arriving at statement j whose variable j's
+    flow function reads gets an edge to every entity j computes: for
+    ``cp`` the definitions reaching j's entry, for ``faint`` the uses
+    live at j's exit.  ``renamed`` is the solution of the
+    ``RENAMED_KIND`` analysis, whose entities at bottom are those
+    instances; it is solved here when omitted.
     """
     if cfg is None:
         cfg = build_cfg(program)
     if weights is None:
         weights = WeightTable(cfg)
-
     nodes = frozenset(
         EntityNode(entity, stmt)
         for stmt, entities in fw.dfpmod.items()
         for entity in entities)
     edges: list[EdgEdge] = []
 
-    if fw.kind == CP_KIND:
-        reach_in = reaching_definitions(cfg)
+    if fw.kind in RENAMED_KIND:
+        if renamed is None:
+            renamed = round_robin_solve(
+                make_bitvector_framework(program, RENAMED_KIND[fw.kind], cfg), cfg,
+                record_trace=False)
+        # Weights follow the analysis direction.
+        forward = fw.direction == FORWARD
+        arriving = renamed.in_values if forward else renamed.out_values
         for j in cfg.nodes:
-            targets = fw.dfpmod[j]
-            if not targets:
+            computed, read = sorted(fw.dfpmod[j]), fw.dfpuse[j]
+            if not computed or not read:
                 continue
-            (beta,) = targets
-            for alpha in sorted(fw.dfpuse[j]):
-                for d in reach_in[j]:
-                    if d.var != alpha:
-                        continue
-                    w = weights.weight(d.stmt, j)
-                    assert w is not None, "reaching definition without a CFG path"
-                    edges.append(EdgEdge(EntityNode(alpha, d.stmt),
-                                         EntityNode(beta, j), w))
-    elif fw.kind == FAINT_KIND:
-        live_out = live_uses(cfg)
-        for s in cfg.nodes:
-            target = stmt_target(cfg.statement(s))
-            if target is None:
-                continue
-            rhs_vars = sorted(stmt_uses(cfg.statement(s)))
-            if not rhs_vars:
-                continue
-            for use in live_out[s]:
-                if use.var != target:
+            for inst in _at_bottom(arriving[j]):
+                if inst.var not in read:
                     continue
-                w = weights.weight(s, use.stmt)
-                assert w is not None, "live use without a CFG path"
-                for b in rhs_vars:
-                    edges.append(EdgEdge(EntityNode(use.var, use.stmt),
-                                         EntityNode(b, s), w))
+                src, dst = (inst.stmt, j) if forward else (j, inst.stmt)
+                w = weights.weight(src, dst)
+                assert w is not None, "renamed instance without a CFG path"
+                edges.extend(EdgEdge(EntityNode(inst.var, inst.stmt),
+                                     EntityNode(beta, j), w) for beta in computed)
     elif fw.kind not in BITVECTOR_KINDS:
         raise ValueError(f"no EDG construction rule for kind {fw.kind!r}")
 
     edges.sort(key=_edge_sort_key)
-    entries = _compute_entry_nodes(nodes, edges, fw)
-    return EntityDependenceGraph(kind=fw.kind, direction=fw.direction,
-                                 nodes=nodes, edges=tuple(edges),
-                                 entry_nodes=entries)
-
-
-def _compute_entry_nodes(nodes: frozenset[EntityNode], edges: Iterable[EdgEdge],
-                         fw: FrameworkInstance) -> frozenset[EntityNode]:
     with_preds = {edge.dst for edge in edges}
-    return frozenset(
+    entries = frozenset(
         n for n in nodes
         if n not in with_preds
         and n.entity in fw.independent_sources.get(n.stmt, frozenset()))
-
-
-def entry_nodes(edg: EntityDependenceGraph,
-                fw: FrameworkInstance) -> frozenset[EntityNode]:
-    """In-degree-zero nodes whose flow function yields non-top on its own.
-
-    An empty result means no information can enter: every entity
-    stays top and the analysis need not run.
-    """
-    return _compute_entry_nodes(edg.nodes, edg.edges, fw)
+    return EntityDependenceGraph(kind=fw.kind, direction=fw.direction,
+                                 nodes=nodes, edges=tuple(edges),
+                                 entry_nodes=entries)
 
 
 # ---------------------------------------------------------------------------

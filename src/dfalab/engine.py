@@ -28,6 +28,7 @@ import enum
 import random
 from collections import deque
 from dataclasses import dataclass
+from functools import reduce
 from typing import Any, Callable, Hashable, Mapping
 
 from .ir import ControlFlowGraph, Program
@@ -106,9 +107,6 @@ class ProductValue:
     def __hash__(self) -> int:
         return hash(self.values)
 
-    def as_dict(self) -> dict[Entity, Any]:
-        return dict(zip(self.space.entities, self.values))
-
     def replacing(self, updates: Mapping[Entity, Any]) -> "ProductValue":
         vals = list(self.values)
         for entity, value in updates.items():
@@ -182,9 +180,6 @@ class FrameworkInstance:
     def lattice(self) -> ComponentLattice:
         return self.space.lattice
 
-    def transfer(self, node: int, value: ProductValue) -> ProductValue:
-        return self.transfers[node](value)
-
     def product_lattice_height(self) -> int:
         return product_height(self.lattice.height, len(self.space))
 
@@ -223,9 +218,6 @@ class SolveResult:
     convention: PassConvention | None
     visits: int | None = None
 
-    def value_at(self, node: int, side: str) -> ProductValue:
-        return self.in_values[node] if side == "in" else self.out_values[node]
-
 
 class DivergenceError(RuntimeError):
     """Solver exceeded the pass budget; a transfer is likely non-monotonic."""
@@ -235,21 +227,49 @@ def _pass_budget(fw: FrameworkInstance, cfg: ControlFlowGraph) -> int:
     return 2 + fw.product_lattice_height() * len(cfg.nodes)
 
 
+@dataclass(frozen=True)
+class _DirectionView:
+    """One framework's direction over one CFG, so each solver has one loop.
+
+    A node's "before" value is the meet of its ``inputs``' "after"
+    values (plus the boundary value at ``boundary_nodes``), and its
+    "after" value is the transfer of its "before" value.  Forward,
+    before/after are IN/OUT; backward, they are OUT/IN.
+    """
+
+    forward: bool
+    order: tuple[int, ...]
+    inputs: Mapping[int, tuple[int, ...]]
+    outputs: Mapping[int, tuple[int, ...]]
+    boundary_nodes: frozenset[int]
+
+    def in_out(self, before: dict[int, ProductValue], after: dict[int, ProductValue]):
+        return (before, after) if self.forward else (after, before)
+
+
+def _direction_view(fw: FrameworkInstance, cfg: ControlFlowGraph) -> _DirectionView:
+    # traversal_order is looked up at solve time, so callers may swap it.
+    order = traversal_order(cfg, fw.direction)
+    if fw.direction == FORWARD:
+        return _DirectionView(True, order, cfg.predecessors, cfg.successors,
+                              frozenset((cfg.entry,)))
+    return _DirectionView(False, order, cfg.successors, cfg.predecessors, cfg.exits)
+
+
 def round_robin_solve(fw: FrameworkInstance, cfg: ControlFlowGraph, *,
                       convention: PassConvention = DEFAULT_CONVENTION,
                       record_trace: bool = True) -> SolveResult:
     """Round-robin iteration to the maximal fixed point, counting passes.
 
-    Nodes are visited in ascending id order for forward instances and
-    descending order for backward ones.  The final pass in which
-    nothing changes is always executed; whether it is counted in
-    ``iterations`` depends on the convention.
+    Nodes are visited in ``traversal_order``: ascending id order for
+    forward instances and descending order for backward ones.  The
+    final pass in which nothing changes is always executed; whether it
+    is counted in ``iterations`` depends on the convention.
     """
-    order = traversal_order(cfg, fw.direction)
-    forward = fw.direction == FORWARD
+    view = _direction_view(fw, cfg)
     top = fw.space.top()
-    in_vals: dict[int, ProductValue] = {n: top for n in cfg.nodes}
-    out_vals: dict[int, ProductValue] = {n: top for n in cfg.nodes}
+    before: dict[int, ProductValue] = {n: top for n in cfg.nodes}
+    after: dict[int, ProductValue] = {n: top for n in cfg.nodes}
     trace: list[TraceRecord] = []
     budget = _pass_budget(fw, cfg)
 
@@ -261,35 +281,20 @@ def round_robin_solve(fw: FrameworkInstance, cfg: ControlFlowGraph, *,
                 f"{fw.kind}: no fixed point after {budget} passes; "
                 "check transfer monotonicity")
         changed = False
-        for node in order:
+        for node in view.order:
             # A pass counts as changing when any program-point value
             # moves, merged inputs included, not only transfer outputs.
-            if forward:
-                merged = _merge_forward(fw, cfg, node, out_vals)
-                if merged != in_vals[node]:
-                    changed = True
-                    in_vals[node] = merged
-                new_out = fw.transfer(node, merged)
-                old_out = out_vals[node]
-                if new_out != old_out:
-                    changed = True
-                    if record_trace:
-                        _record_changes(trace, passes, node, fw, old_out,
-                                        new_out, merged)
-                    out_vals[node] = new_out
-            else:
-                merged = _merge_backward(fw, cfg, node, in_vals)
-                if merged != out_vals[node]:
-                    changed = True
-                    out_vals[node] = merged
-                new_in = fw.transfer(node, merged)
-                old_in = in_vals[node]
-                if new_in != old_in:
-                    changed = True
-                    if record_trace:
-                        _record_changes(trace, passes, node, fw, old_in,
-                                        new_in, merged)
-                    in_vals[node] = new_in
+            merged = _merge(fw, view, node, after)
+            if merged != before[node]:
+                changed = True
+                before[node] = merged
+            new = fw.transfers[node](merged)
+            old = after[node]
+            if new != old:
+                changed = True
+                if record_trace:
+                    _record_changes(trace, passes, node, fw, old, new, merged)
+                after[node] = new
         if not changed:
             break
 
@@ -297,35 +302,18 @@ def round_robin_solve(fw: FrameworkInstance, cfg: ControlFlowGraph, *,
         iterations = passes
     else:
         iterations = max(1, passes - 1)
+    in_vals, out_vals = view.in_out(before, after)
     return SolveResult(in_values=in_vals, out_values=out_vals,
                        iterations=iterations, passes_executed=passes,
                        trace=tuple(trace), convention=convention)
 
 
-def _merge_forward(fw: FrameworkInstance, cfg: ControlFlowGraph, node: int,
-                   out_vals: dict[int, ProductValue]) -> ProductValue:
-    parts = [out_vals[p] for p in cfg.predecessors[node]]
-    if node == cfg.entry:
+def _merge(fw: FrameworkInstance, view: _DirectionView, node: int,
+           after: dict[int, ProductValue]) -> ProductValue:
+    parts = [after[m] for m in view.inputs[node]]
+    if node in view.boundary_nodes:
         parts.append(fw.boundary)
-    if not parts:
-        return fw.space.top()
-    merged = parts[0]
-    for part in parts[1:]:
-        merged = meet_product(merged, part)
-    return merged
-
-
-def _merge_backward(fw: FrameworkInstance, cfg: ControlFlowGraph, node: int,
-                    in_vals: dict[int, ProductValue]) -> ProductValue:
-    parts = [in_vals[s] for s in cfg.successors[node]]
-    if node in cfg.exits:
-        parts.append(fw.boundary)
-    if not parts:
-        return fw.space.top()
-    merged = parts[0]
-    for part in parts[1:]:
-        merged = meet_product(merged, part)
-    return merged
+    return reduce(meet_product, parts) if parts else fw.space.top()
 
 
 def _record_changes(trace: list[TraceRecord], pass_no: int, node: int,
@@ -346,11 +334,11 @@ def worklist_solve(fw: FrameworkInstance, cfg: ControlFlowGraph) -> SolveResult:
     The returned ``iterations`` is the node-visit count, which is not
     comparable to round-robin pass counts.
     """
-    forward = fw.direction == FORWARD
+    view = _direction_view(fw, cfg)
     top = fw.space.top()
-    in_vals: dict[int, ProductValue] = {n: top for n in cfg.nodes}
-    out_vals: dict[int, ProductValue] = {n: top for n in cfg.nodes}
-    pending = deque(traversal_order(cfg, fw.direction))
+    before: dict[int, ProductValue] = {n: top for n in cfg.nodes}
+    after: dict[int, ProductValue] = {n: top for n in cfg.nodes}
+    pending = deque(view.order)
     queued = set(pending)
     visits = 0
     budget = _pass_budget(fw, cfg) * max(1, len(cfg.nodes))
@@ -363,27 +351,17 @@ def worklist_solve(fw: FrameworkInstance, cfg: ControlFlowGraph) -> SolveResult:
                 "check transfer monotonicity")
         node = pending.popleft()
         queued.discard(node)
-        if forward:
-            merged = _merge_forward(fw, cfg, node, out_vals)
-            in_vals[node] = merged
-            new_out = fw.transfer(node, merged)
-            if new_out != out_vals[node]:
-                out_vals[node] = new_out
-                for succ in cfg.successors[node]:
-                    if succ not in queued:
-                        pending.append(succ)
-                        queued.add(succ)
-        else:
-            merged = _merge_backward(fw, cfg, node, in_vals)
-            out_vals[node] = merged
-            new_in = fw.transfer(node, merged)
-            if new_in != in_vals[node]:
-                in_vals[node] = new_in
-                for pred in cfg.predecessors[node]:
-                    if pred not in queued:
-                        pending.append(pred)
-                        queued.add(pred)
+        merged = _merge(fw, view, node, after)
+        before[node] = merged
+        new = fw.transfers[node](merged)
+        if new != after[node]:
+            after[node] = new
+            for nxt in view.outputs[node]:
+                if nxt not in queued:
+                    pending.append(nxt)
+                    queued.add(nxt)
 
+    in_vals, out_vals = view.in_out(before, after)
     return SolveResult(in_values=in_vals, out_values=out_vals,
                        iterations=max(1, visits), passes_executed=0,
                        trace=(), convention=None, visits=visits)

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Union
+from typing import Iterable, Mapping, Union
 
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
@@ -149,9 +149,6 @@ class Program:
     edges: tuple[tuple[int, int], ...]
     entry: int
     exits: frozenset[int]
-
-    def node_ids(self) -> tuple[int, ...]:
-        return tuple(sorted(self.nodes))
 
 
 @dataclass(frozen=True)
@@ -423,24 +420,23 @@ def validate_program(program: Program) -> list[Diagnostic]:
                                     f"exit {ex} is not a declared node", node=ex))
 
     if program.entry in program.nodes:
-        reachable = _reachable_from(program, program.entry)
-        for node_id in sorted(set(program.nodes) - reachable):
+        succ: dict[int, list[int]] = {n: [] for n in program.nodes}
+        for src, dst in program.edges:
+            if src in succ and dst in program.nodes:
+                succ[src].append(dst)
+        for node_id in sorted(set(program.nodes) - reachable(program.entry, succ)):
             diags.append(Diagnostic("unreachable-node",
                                     f"node {node_id} is not reachable from entry",
                                     node=node_id))
     return diags
 
 
-def _reachable_from(program: Program, start: int) -> set[int]:
-    succ: dict[int, list[int]] = {n: [] for n in program.nodes}
-    for src, dst in program.edges:
-        if src in succ and dst in program.nodes:
-            succ[src].append(dst)
+def reachable(start: int, neighbours: Mapping[int, Iterable[int]]) -> set[int]:
+    """Nodes reachable from `start` (itself included) along `neighbours`."""
     seen = {start}
     stack = [start]
     while stack:
-        node = stack.pop()
-        for nxt in succ[node]:
+        for nxt in neighbours[stack.pop()]:
             if nxt not in seen:
                 seen.add(nxt)
                 stack.append(nxt)

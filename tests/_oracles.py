@@ -3,12 +3,14 @@
 Everything here is deliberately written from scratch against the
 definitions, not by calling into the corresponding dfalab code paths:
 plain exhaustive enumeration for path weights and the degree of
-dependence, a set-based strongly-live analysis, a concrete path
-interpreter, and dominator-based reducibility.
+dependence, set-based strongly-live, renamed reaching-definitions and
+renamed live-uses analyses, a concrete path interpreter, and
+dominator-based reducibility.
 """
 
 from __future__ import annotations
 
+from dfalab.analyses import DefId, UseId
 from dfalab.ir import (
     BinAssign,
     ConstAssign,
@@ -184,6 +186,80 @@ def strongly_live(cfg: ControlFlowGraph) -> tuple[dict[int, frozenset[str]],
                 live_in[node] = inn
     return ({n: frozenset(v) for n, v in live_in.items()},
             {n: frozenset(v) for n, v in live_out.items()})
+
+
+# ---------------------------------------------------------------------------
+# set-based renamed reaching definitions / live uses
+#
+# The classic per-statement set formulations of the reach/live
+# frameworks, which EDG construction reads to resolve renamed instances.
+
+
+def reaching_definitions(cfg: ControlFlowGraph) -> dict[int, frozenset[DefId]]:
+    """Definitions reaching the entry of each node."""
+    program = cfg.program
+    gen: dict[int, frozenset[DefId]] = {}
+    for node, stmt in program.nodes.items():
+        target = stmt_target(stmt)
+        gen[node] = frozenset() if target is None else frozenset((DefId(target, node),))
+
+    in_sets: dict[int, frozenset[DefId]] = {n: frozenset() for n in cfg.nodes}
+    out_sets: dict[int, frozenset[DefId]] = {n: frozenset() for n in cfg.nodes}
+    pending = list(cfg.nodes)
+    queued = set(pending)
+    while pending:
+        node = pending.pop(0)
+        queued.discard(node)
+        merged: set[DefId] = set()
+        for pred in cfg.predecessors[node]:
+            merged |= out_sets[pred]
+        in_sets[node] = frozenset(merged)
+        target = stmt_target(cfg.statement(node))
+        if target is not None:
+            survivors = {d for d in merged if d.var != target}
+        else:
+            survivors = merged
+        new_out = frozenset(survivors | gen[node])
+        if new_out != out_sets[node]:
+            out_sets[node] = new_out
+            for succ in cfg.successors[node]:
+                if succ not in queued:
+                    pending.append(succ)
+                    queued.add(succ)
+    return in_sets
+
+
+def live_uses(cfg: ControlFlowGraph) -> dict[int, frozenset[UseId]]:
+    """Renamed uses live at the exit of each node."""
+    program = cfg.program
+    gen: dict[int, frozenset[UseId]] = {}
+    for node, stmt in program.nodes.items():
+        gen[node] = frozenset(UseId(v, node) for v in stmt_uses(stmt))
+
+    in_sets: dict[int, frozenset[UseId]] = {n: frozenset() for n in cfg.nodes}
+    out_sets: dict[int, frozenset[UseId]] = {n: frozenset() for n in cfg.nodes}
+    pending = list(reversed(cfg.nodes))
+    queued = set(pending)
+    while pending:
+        node = pending.pop(0)
+        queued.discard(node)
+        merged: set[UseId] = set()
+        for succ in cfg.successors[node]:
+            merged |= in_sets[succ]
+        out_sets[node] = frozenset(merged)
+        target = stmt_target(cfg.statement(node))
+        if target is not None:
+            survivors = {u for u in merged if u.var != target}
+        else:
+            survivors = merged
+        new_in = frozenset(survivors | gen[node])
+        if new_in != in_sets[node]:
+            in_sets[node] = new_in
+            for pred in cfg.predecessors[node]:
+                if pred not in queued:
+                    pending.append(pred)
+                    queued.add(pred)
+    return out_sets
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ or ``-s``).  The corpus criteria share one pass over the default
 the session fixture below.
 """
 
+import hashlib
 import statistics
 import time
 
@@ -19,9 +20,11 @@ from dfalab import (
     degree_of_dependence,
     delta_vector,
     depth,
+    emit_report,
     make_constant_propagation,
     make_faint_variables,
     max_backedge_acyclic_weight,
+    round_robin_solve,
     worklist_solve,
 )
 from dfalab.bounds import ProgramPipeline
@@ -34,6 +37,9 @@ CORPUS_CONFIG = GeneratorConfig(seed=42, node_budget=60, variable_count=(4, 8))
 CORPUS_SIZE = 1000
 NONSEPARABLE = ("cp", "faint")
 BITVECTOR = ("avail", "reach", "live")
+# sha256 of the CSV report over every corpus record, grouped by kind in
+# NONSEPARABLE + BITVECTOR order: any change to a reported number moves it.
+REPORT_SHA256 = "5b578876c33d60307b7f2c4cb78a903e88f676a7e371e6e427c63aa4324648a0"
 
 
 def announce(number: int, ok: bool, detail: str) -> bool:
@@ -50,6 +56,7 @@ def corpus():
 
     records = {kind: [] for kind in NONSEPARABLE + BITVECTOR}
     cond10_failures = []
+    trace_records = {kind: 0 for kind in NONSEPARABLE}
     worklist_mismatches = []
     bounds_seconds = gen_seconds
 
@@ -60,10 +67,12 @@ def corpus():
             records[kind].append(pipeline.record(kind))
         bounds_seconds += time.perf_counter() - t0
         for kind in NONSEPARABLE:
+            # The pipeline solves untraced; condition 10 needs the trace.
             fw = pipeline.framework(kind)
-            solution = pipeline.solution(kind)
+            trace = round_robin_solve(fw, pipeline.cfg).trace
+            trace_records[kind] += len(trace)
             if not check_monotonic_entity_dependence(
-                    pipeline.edg(kind), solution.trace, fw.lattice):
+                    pipeline.edg(kind), trace, fw.lattice):
                 cond10_failures.append((program.name, kind))
         for kind in BITVECTOR:
             records[kind].append(pipeline.record(kind))
@@ -77,6 +86,7 @@ def corpus():
         "programs": programs,
         "records": records,
         "cond10_failures": cond10_failures,
+        "trace_records": trace_records,
         "worklist_mismatches": worklist_mismatches,
         "bounds_seconds": bounds_seconds,
     }
@@ -232,9 +242,11 @@ def test_criterion_7_oracle_equivalence(corpus, small_corpus):
 
 def test_criterion_8_condition_ten(corpus):
     failures = corpus["cond10_failures"]
-    ok = not failures
+    traced = corpus["trace_records"]
+    ok = not failures and all(traced[kind] > 0 for kind in NONSEPARABLE)
     assert announce(8, ok, f"ht(new)>=ht(operand) on every EDG-edge transition "
-                           f"across {CORPUS_SIZE} programs x {{cp,faint}}, "
+                           f"across {CORPUS_SIZE} programs x {{cp,faint}} "
+                           f"({traced['cp']} + {traced['faint']} trace records), "
                            f"{len(failures)} violations")
 
 
@@ -246,3 +258,8 @@ def test_criterion_9_deviation_medians(corpus):
     ok = m2 < m1 and share >= 0.95
     assert announce(9, ok, f"median(dev2)={m2} < median(dev1)={m1}; "
                            f"dev1>=dev2 on {share:.1%} of records")
+
+
+def test_report_bytes_are_pinned(corpus):
+    records = [r for kind in NONSEPARABLE + BITVECTOR for r in corpus["records"][kind]]
+    assert hashlib.sha256(emit_report(records)).hexdigest() == REPORT_SHA256

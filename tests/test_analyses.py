@@ -20,9 +20,7 @@ from dfalab.analyses import (
     UseId,
     cp_transfer,
     fv_transfer,
-    live_uses,
     program_expressions,
-    reaching_definitions,
 )
 from dfalab.engine import EntitySpace
 from dfalab.analyses import CP_LATTICE, FV_LATTICE
@@ -37,7 +35,7 @@ from dfalab.ir import (
     stmt_target,
 )
 
-from _oracles import execute_all_paths, strongly_live
+from _oracles import execute_all_paths, live_uses, reaching_definitions, strongly_live
 from conftest import chain_program
 
 
@@ -235,7 +233,7 @@ def test_all_five_analyses_are_monotonic(fig3, fig3_cfg):
 
 
 class TestRenamedSetAnalyses:
-    """The set-based reaching/live helpers match the framework solutions."""
+    """The set-based reaching/live oracles match the framework solutions."""
 
     @pytest.mark.parametrize("seed", range(8))
     def test_reaching_definitions_match(self, seed):

@@ -2,7 +2,15 @@ import json
 
 import pytest
 
-from dfalab import CSV_HEADER, edg_bound, emit_report, make_record, simplistic_bound
+from dfalab import (
+    CSV_HEADER,
+    build_edg,
+    edg_bound,
+    emit_report,
+    make_record,
+    simplistic_bound,
+)
+from dfalab import bounds
 from dfalab.bounds import ProgramPipeline
 from dfalab.engine import PassConvention
 
@@ -98,3 +106,25 @@ def test_pipeline_reuses_metrics(fig3):
     r2 = pipeline.record("faint")
     assert r1.d == r2.d == 3
     assert r1.nodes == r2.nodes == 8
+
+
+def test_pipeline_computes_delta_once(fig3, monkeypatch):
+    calls = []
+    original = bounds.degree_of_dependence
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(bounds, "degree_of_dependence", counting)
+    pipeline = ProgramPipeline(fig3)
+    assert pipeline.delta("cp") == 6
+    assert pipeline.record("cp").delta == 6
+    assert len(calls) == 1
+
+
+def test_pipeline_edg_matches_standalone_build(fig3):
+    pipeline = ProgramPipeline(fig3)
+    for kind in ("cp", "faint", "avail"):
+        standalone = build_edg(fig3, pipeline.framework(kind), cfg=pipeline.cfg)
+        assert pipeline.edg(kind) == standalone

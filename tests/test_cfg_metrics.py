@@ -2,9 +2,9 @@ import pytest
 
 from dfalab import (
     SearchBudgetExceeded,
+    WeightTable,
     build_cfg,
     classify_back_edges,
-    compute_metrics,
     depth,
     max_backedge_acyclic_weight,
     traversal_order,
@@ -49,8 +49,8 @@ def test_acyclic_depth_zero():
 
 
 def test_depth_bounded_by_back_edge_count(fig3_cfg):
-    metrics = compute_metrics(fig3_cfg)
-    assert metrics.depth <= len(metrics.back_edges)
+    table = WeightTable(fig3_cfg)
+    assert table.depth <= len(table.back_edges)
 
 
 @pytest.mark.parametrize("frm,to,expected", [

@@ -66,6 +66,15 @@ class TestReport:
         assert code == EXIT_OK
         assert out.read_text().startswith(CSV_HEADER)
 
+    def test_non_utf8_file_fails_in_one_line(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.prog"
+        bad.write_bytes(b"program x\nvars \xe9\n")
+        code = main(["report", str(bad)])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert err.startswith("dfalab: ") and err.count("\n") == 1
+        assert "utf-8" in err
+
     def test_default_kinds(self, fig3_file, capsys):
         assert main(["report", str(fig3_file)]) == EXIT_OK
         assert [r["analysis"] for r in rows(capsys.readouterr().out)] == ["cp", "faint"]
@@ -92,6 +101,21 @@ class TestGenerate:
                      "--analysis", "cp"])
         assert code == EXIT_OK
         assert len(rows(capsys.readouterr().out)) == 3
+
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--count", "0"], "count must be positive"),
+        (["--vars", "8-4"], "range '8-4' is empty"),
+        (["--vars", "x"], "--vars expects a count"),
+    ])
+    def test_bad_arguments_fail_in_one_line(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "corpus"
+        code = main(["generate", *flags, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert err.startswith("dfalab: ") and err.count("\n") == 1
+        assert message in err
+        assert not out.exists()
 
 
 class TestCorpus:
