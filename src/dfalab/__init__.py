@@ -38,7 +38,6 @@ from .engine import (
     DivergenceError,
     EntitySpace,
     FrameworkInstance,
-    PassConvention,
     ProductValue,
     SolveResult,
     TraceRecord,
@@ -76,7 +75,6 @@ from .edg import (
     check_monotonic_entity_dependence,
     degree_of_dependence,
     delta_vector,
-    export_edg,
     path_delta,
 )
 from .bounds import (

@@ -180,8 +180,7 @@ def make_constant_propagation(program: Program,
     return FrameworkInstance(
         kind=CP_KIND, direction=FORWARD, space=space, transfers=transfers,
         dfpmod=dfpmod, dfpuse=dfpuse, independent_sources=sources,
-        boundary=space.top(), monotonic_entity_dependence=True,
-        program=program)
+        boundary=space.top())
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +254,7 @@ def make_faint_variables(program: Program,
     return FrameworkInstance(
         kind=FAINT_KIND, direction=BACKWARD, space=space, transfers=transfers,
         dfpmod=dfpmod, dfpuse=dfpuse, independent_sources=sources,
-        boundary=space.top(), monotonic_entity_dependence=True,
-        program=program)
+        boundary=space.top())
 
 
 # ---------------------------------------------------------------------------
@@ -414,8 +412,7 @@ def make_bitvector_framework(program: Program, kind: str,
     return FrameworkInstance(
         kind=kind, direction=direction, space=space, transfers=transfers,
         dfpmod=dfpmod, dfpuse=dfpuse, independent_sources=sources,
-        boundary=space.top(), monotonic_entity_dependence=True,
-        program=program)
+        boundary=space.top())
 
 
 def make_framework(program: Program, kind: str,

@@ -19,22 +19,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .analyses import ANALYSIS_KINDS, make_framework
-from .cfg_metrics import DEFAULT_NODE_CAP, DEFAULT_STEP_CAP, WeightTable
-from .edg import (
-    DEFAULT_DELTA_STEP_CAP,
-    RENAMED_KIND,
-    EntityDependenceGraph,
-    build_edg,
-    degree_of_dependence,
-)
-from .engine import (
-    DEFAULT_CONVENTION,
-    FrameworkInstance,
-    PassConvention,
-    SolveResult,
-    product_height,
-    round_robin_solve,
-)
+from .cfg_metrics import WeightTable
+from .edg import RENAMED_KIND, EntityDependenceGraph, build_edg, degree_of_dependence
+from .engine import FrameworkInstance, SolveResult, product_height, round_robin_solve
 from .ir import Program, build_cfg
 
 CSV_HEADER = "program,analysis,nodes,vars,d,H,delta,B1,B2,I,dev1,dev2,violated"
@@ -108,16 +95,10 @@ class ProgramPipeline:
     trace.
     """
 
-    def __init__(self, program: Program, *,
-                 convention: PassConvention = DEFAULT_CONVENTION,
-                 node_cap: int = DEFAULT_NODE_CAP,
-                 step_cap: int = DEFAULT_STEP_CAP,
-                 delta_step_cap: int = DEFAULT_DELTA_STEP_CAP):
+    def __init__(self, program: Program):
         self.program = program
-        self.convention = convention
-        self.delta_step_cap = delta_step_cap
         self.cfg = build_cfg(program)
-        self.weights = WeightTable(self.cfg, node_cap=node_cap, step_cap=step_cap)
+        self.weights = WeightTable(self.cfg)
         self._frameworks: dict[str, FrameworkInstance] = {}
         self._solutions: dict[str, SolveResult] = {}
         self._edgs: dict[str, EntityDependenceGraph] = {}
@@ -135,8 +116,7 @@ class ProgramPipeline:
     def solution(self, kind: str) -> SolveResult:
         if kind not in self._solutions:
             self._solutions[kind] = round_robin_solve(
-                self.framework(kind), self.cfg, convention=self.convention,
-                record_trace=False)
+                self.framework(kind), self.cfg, record_trace=False)
         return self._solutions[kind]
 
     def edg(self, kind: str) -> EntityDependenceGraph:
@@ -150,10 +130,8 @@ class ProgramPipeline:
 
     def delta(self, kind: str) -> int:
         if kind not in self._deltas:
-            fw = self.framework(kind)
             self._deltas[kind] = degree_of_dependence(
-                self.edg(kind), fw.lattice.height,
-                fw.monotonic_entity_dependence, max_steps=self.delta_step_cap)
+                self.edg(kind), self.framework(kind).lattice.height)
         return self._deltas[kind]
 
     def record(self, kind: str) -> BoundsRecord:
@@ -174,12 +152,11 @@ class ProgramPipeline:
             bound_violated=iterations > b2 or iterations > b1)
 
 
-def make_record(program: Program, kind: str, *,
-                convention: PassConvention = DEFAULT_CONVENTION) -> BoundsRecord:
+def make_record(program: Program, kind: str) -> BoundsRecord:
     """Run the full pipeline for one (program, analysis) pair."""
     if kind not in ANALYSIS_KINDS:
         raise ValueError(f"unknown analysis kind {kind!r}")
-    return ProgramPipeline(program, convention=convention).record(kind)
+    return ProgramPipeline(program).record(kind)
 
 
 def emit_report(records: list[BoundsRecord], format: str = "csv") -> bytes:

@@ -1,16 +1,20 @@
-"""Back-edge classification, CFG depth, and back-edge path weights.
+"""Back-edge classification, visit order, CFG depth, and back-edge path weights.
 
-Back edges are classified by a depth-first search from the entry node
-that visits successors in ascending node-id order; an edge is a back
-edge when its target is on the DFS stack.  For reducible graphs this
-matches the usual retreating-edge notion; for irreducible graphs the
-ascending-id rule pins a deterministic answer.
+One depth-first search from the entry node, visiting successors in
+ascending node-id order, gives both the back edges (edges whose
+target is on the DFS stack) and the round-robin visit order (its
+reverse postorder).  For reducible graphs the back edges are the usual
+retreating edges; for irreducible graphs the ascending-id rule pins a
+deterministic answer.  The d-based pass bounds assume this pairing:
+a pass in depth-first order crosses only the counted back edges
+against the visit order (Kam & Ullman 1976).
 
 The depth d is the maximum number of back edges on any node-simple
 path.  Pairwise weights ask the same question for paths between two
 fixed statements.  Both are computed by exact backtracking with
-pruning; a node cap (default 64) rejects inputs where exactness is no
-longer desk-scale.
+pruning; a node cap of 64 rejects inputs where exactness is no longer
+desk-scale, and a budget of ten million steps bounds each depth or
+pairwise-weight computation.
 """
 
 from __future__ import annotations
@@ -28,20 +32,28 @@ class SearchBudgetExceeded(RuntimeError):
     """Exact path search aborted: input exceeds the configured budget."""
 
 
-def traversal_order(cfg: ControlFlowGraph, direction: str) -> tuple[int, ...]:
-    """Round-robin visit order: ascending node ids forward, descending backward."""
-    if direction == FORWARD:
-        return cfg.nodes
-    if direction == BACKWARD:
-        return tuple(reversed(cfg.nodes))
-    raise ValueError(f"unknown direction {direction!r}")
+class StepBudget:
+    """Step counter shared by a search's calls; raises once `limit` is passed."""
+
+    __slots__ = ("remaining", "message")
+
+    def __init__(self, limit: int, message: str):
+        self.remaining = limit
+        self.message = message
+
+    def tick(self) -> None:
+        self.remaining -= 1
+        if self.remaining < 0:
+            raise SearchBudgetExceeded(self.message)
 
 
-def classify_back_edges(cfg: ControlFlowGraph) -> frozenset[tuple[int, int]]:
-    """Edges whose target is a DFS-stack ancestor (ascending-id DFS from entry)."""
+def depth_first_search(cfg: ControlFlowGraph) -> tuple[frozenset[tuple[int, int]],
+                                                      tuple[int, ...]]:
+    """Back edges and reverse postorder of the ascending-id DFS from entry."""
     visited: set[int] = set()
     on_stack: set[int] = set()
     back: set[tuple[int, int]] = set()
+    postorder: list[int] = []
     # Explicit stack of (node, successor iterator position) to avoid
     # recursion limits on long chains.
     stack: list[tuple[int, int]] = []
@@ -65,20 +77,36 @@ def classify_back_edges(cfg: ControlFlowGraph) -> frozenset[tuple[int, int]]:
         else:
             stack.pop()
             on_stack.discard(node)
-    return frozenset(back)
+            postorder.append(node)
+    return frozenset(back), tuple(reversed(postorder))
 
 
-def _check_node_cap(cfg: ControlFlowGraph, node_cap: int) -> None:
-    if len(cfg.nodes) > node_cap:
+def traversal_order(cfg: ControlFlowGraph, direction: str) -> tuple[int, ...]:
+    """Round-robin visit order: DFS reverse postorder forward, its reverse backward."""
+    _, rpo = depth_first_search(cfg)
+    if direction == FORWARD:
+        return rpo
+    if direction == BACKWARD:
+        return rpo[::-1]
+    raise ValueError(f"unknown direction {direction!r}")
+
+
+def classify_back_edges(cfg: ControlFlowGraph) -> frozenset[tuple[int, int]]:
+    """Edges whose target is a DFS-stack ancestor (ascending-id DFS from entry)."""
+    return depth_first_search(cfg)[0]
+
+
+def _check_node_cap(cfg: ControlFlowGraph) -> None:
+    if len(cfg.nodes) > DEFAULT_NODE_CAP:
         raise SearchBudgetExceeded(
-            f"graph has {len(cfg.nodes)} nodes, exceeding the cap of {node_cap}")
+            f"graph has {len(cfg.nodes)} nodes, exceeding the cap of {DEFAULT_NODE_CAP}")
 
 
 class _PathSearch:
     """Backtracking search for the maximum back-edge count over simple paths."""
 
     def __init__(self, cfg: ControlFlowGraph,
-                 back_edges: frozenset[tuple[int, int]], step_cap: int):
+                 back_edges: frozenset[tuple[int, int]]):
         self.succ = cfg.successors
         self.back_edges = back_edges
         # Back edges grouped by source node; used both for weight
@@ -86,8 +114,8 @@ class _PathSearch:
         self.back_by_source: dict[int, int] = {}
         for src, _ in back_edges:
             self.back_by_source[src] = self.back_by_source.get(src, 0) + 1
-        self.step_cap = step_cap
-        self.steps = 0
+        self.budget = StepBudget(DEFAULT_STEP_CAP,
+                                 f"path search exceeded {DEFAULT_STEP_CAP} steps")
         self.best = -1
         self.target: int | None = None
 
@@ -101,10 +129,7 @@ class _PathSearch:
         return self.best
 
     def _extend(self, node: int, visited: set[int], weight: int, remaining: int) -> None:
-        self.steps += 1
-        if self.steps > self.step_cap:
-            raise SearchBudgetExceeded(
-                f"path search exceeded {self.step_cap} steps")
+        self.budget.tick()
         if self.target is None or node == self.target:
             if weight > self.best:
                 self.best = weight
@@ -123,16 +148,15 @@ class _PathSearch:
             visited.discard(nxt)
 
 
-def depth(cfg: ControlFlowGraph, *, node_cap: int = DEFAULT_NODE_CAP,
-          step_cap: int = DEFAULT_STEP_CAP,
+def depth(cfg: ControlFlowGraph, *,
           back_edges: frozenset[tuple[int, int]] | None = None) -> int:
     """Maximum number of back edges on any node-simple path."""
-    _check_node_cap(cfg, node_cap)
+    _check_node_cap(cfg)
     if back_edges is None:
         back_edges = classify_back_edges(cfg)
     if not back_edges:
         return 0
-    search = _PathSearch(cfg, back_edges, step_cap)
+    search = _PathSearch(cfg, back_edges)
     best = 0
     # A maximum-weight path can be trimmed to start at a back-edge
     # source, so only those starting points need searching.
@@ -143,7 +167,6 @@ def depth(cfg: ControlFlowGraph, *, node_cap: int = DEFAULT_NODE_CAP,
 
 def max_backedge_acyclic_weight(
         cfg: ControlFlowGraph, frm: int, to: int, *,
-        node_cap: int = DEFAULT_NODE_CAP, step_cap: int = DEFAULT_STEP_CAP,
         back_edges: frozenset[tuple[int, int]] | None = None) -> int | None:
     """Maximum back-edge count over node-simple paths from `frm` to `to`.
 
@@ -152,7 +175,7 @@ def max_backedge_acyclic_weight(
     """
     if frm not in cfg.successors or to not in cfg.successors:
         raise KeyError(f"unknown node in pair ({frm}, {to})")
-    _check_node_cap(cfg, node_cap)
+    _check_node_cap(cfg)
     if frm == to:
         return 0
     reach = reachable(frm, cfg.successors)
@@ -167,8 +190,7 @@ def max_backedge_acyclic_weight(
         (s, t) for (s, t) in back_edges if s in reach and t in co_reach)
     if not candidates:
         return 0
-    search = _PathSearch(cfg, candidates, step_cap)
-    return search.run(frm, to, -1)
+    return _PathSearch(cfg, candidates).run(frm, to, -1)
 
 
 class WeightTable:
@@ -178,12 +200,8 @@ class WeightTable:
     pairs are searched once.
     """
 
-    def __init__(self, cfg: ControlFlowGraph, *,
-                 node_cap: int = DEFAULT_NODE_CAP,
-                 step_cap: int = DEFAULT_STEP_CAP):
+    def __init__(self, cfg: ControlFlowGraph):
         self.cfg = cfg
-        self.node_cap = node_cap
-        self.step_cap = step_cap
         self.back_edges = classify_back_edges(cfg)
         self._cache: dict[tuple[int, int], int | None] = {}
         self._depth: int | None = None
@@ -192,14 +210,11 @@ class WeightTable:
         key = (frm, to)
         if key not in self._cache:
             self._cache[key] = max_backedge_acyclic_weight(
-                self.cfg, frm, to, node_cap=self.node_cap,
-                step_cap=self.step_cap, back_edges=self.back_edges)
+                self.cfg, frm, to, back_edges=self.back_edges)
         return self._cache[key]
 
     @property
     def depth(self) -> int:
         if self._depth is None:
-            self._depth = depth(self.cfg, node_cap=self.node_cap,
-                                step_cap=self.step_cap,
-                                back_edges=self.back_edges)
+            self._depth = depth(self.cfg, back_edges=self.back_edges)
         return self._depth

@@ -92,8 +92,8 @@ def cmd_report(paths: list[str], kinds: list[str], fmt: str,
     errors: list[str] = []
     programs = _load_programs([Path(p) for p in paths], errors)
     records = _records_for(programs, kinds, errors)
-    _write_bytes(emit_report(records, fmt), out)
     _print_errors(errors)
+    _write_bytes(emit_report(records, fmt), out)
     if errors:
         return EXIT_USAGE
     if any(r.bound_violated for r in records):
@@ -126,8 +126,8 @@ def cmd_corpus(directory: str, kinds: list[str], fmt: str,
     errors: list[str] = []
     programs = _load_programs(paths, errors)
     records = _records_for(programs, kinds, errors)
+    _print_errors(errors)
     if not records:
-        _print_errors(errors)
         return EXIT_USAGE
 
     report = emit_report(records, fmt)
@@ -161,7 +161,6 @@ def cmd_corpus(directory: str, kinds: list[str], fmt: str,
         (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n",
                                               encoding="utf-8")
 
-    _print_errors(errors)
     if errors:
         return EXIT_USAGE
     if summary["violations"]:
@@ -211,9 +210,11 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
 
     kinds = args.analysis if getattr(args, "analysis", None) else ["cp", "faint"]
-    if args.command == "report":
-        return cmd_report(args.files, kinds, args.format, args.out)
-    if args.command == "generate":
+    try:
+        if args.command == "report":
+            return cmd_report(args.files, kinds, args.format, args.out)
+        if args.command == "corpus":
+            return cmd_corpus(args.directory, kinds, args.format, args.out)
         try:
             config = GeneratorConfig(
                 seed=args.seed, node_budget=args.nodes,
@@ -223,9 +224,10 @@ def main(argv: list[str] | None = None) -> int:
         except ValueError as exc:
             _print_errors([str(exc)])
             return EXIT_USAGE
-    if args.command == "corpus":
-        return cmd_corpus(args.directory, kinds, args.format, args.out)
-    return EXIT_USAGE
+    except OSError as exc:
+        # Inputs are read and diagnosed per file, so this is an output path.
+        _print_errors([f"{exc.filename}: {exc.strerror}"])
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

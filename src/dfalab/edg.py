@@ -20,8 +20,12 @@ nothing.
 
 The production search condenses the EDG into strongly connected
 components and combines exhaustive small searches inside each
-component with a longest-path sweep over the condensation.  A step
-budget (default one million) bounds the enumeration.
+component with one longest-path sweep over the condensation, seeded
+at every entry node.  Only the heaviest cycle of a structure is
+charged, which is sound under monotonic entity dependence (condition
+10, checked on solve traces by ``check_monotonic_entity_dependence``).
+The search for one EDG may take one million steps per entry node,
+pooled over the sweep.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from .analyses import (
     REACH_KIND,
     make_bitvector_framework,
 )
-from .cfg_metrics import FORWARD, SearchBudgetExceeded, WeightTable
+from .cfg_metrics import FORWARD, StepBudget, WeightTable
 from .engine import (
     ComponentLattice,
     FrameworkInstance,
@@ -191,14 +195,13 @@ class StructuredPath:
     target: EntityNode
 
 
-def path_delta(edg: EntityDependenceGraph, path: StructuredPath, h_hat: int,
-               *, monotonic: bool = True) -> int:
+def path_delta(edg: EntityDependenceGraph, path: StructuredPath, h_hat: int) -> int:
     """Iteration cost of propagating a change along one path structure.
 
-    Acyclic segments cost their edge-weight sum.  Cycles cost the
-    component height times the cycle weight; with monotonic entity
-    dependence only the heaviest traversed cycle is charged.  A target
-    inside the final cycle is absorbed (no trailing cost).
+    Acyclic segments cost their edge-weight sum.  Of the traversed
+    cycles only the heaviest is charged, at the component height times
+    its weight.  A target inside the final cycle is absorbed (no
+    trailing cost).
     """
     known = {(e.src, e.dst): e.weight for e in edg.edges}
     current = path.origin
@@ -256,28 +259,11 @@ def path_delta(edg: EntityDependenceGraph, path: StructuredPath, h_hat: int,
             raise MalformedPathError(
                 f"target {path.target} is neither the path end nor on the final cycle")
 
-    if not cycle_weights:
-        return segment_sum
-    if monotonic:
-        return segment_sum + h_hat * max(cycle_weights)
-    return segment_sum + sum(h_hat * w for w in cycle_weights)
+    return segment_sum + h_hat * max(cycle_weights, default=0)
 
 
 # ---------------------------------------------------------------------------
 # degree of dependence
-
-
-class _Budget:
-    __slots__ = ("remaining",)
-
-    def __init__(self, limit: int):
-        self.remaining = limit
-
-    def tick(self, amount: int = 1) -> None:
-        self.remaining -= amount
-        if self.remaining < 0:
-            raise SearchBudgetExceeded(
-                "degree-of-dependence enumeration exceeded its step budget")
 
 
 def _tarjan_sccs(nodes: list[EntityNode],
@@ -334,20 +320,17 @@ class _SccScan:
     """Exhaustive structure search inside one strongly connected component.
 
     ``end0[v]``: best weight of a simple path entry->v using no cycle.
-    ``end1[v]``: best value using exactly one disjoint anchored cycle
-    (monotonic mode) or any number of cycles (additive mode, where
-    end0 is unused beyond the zero-cycle values it shares).
+    ``end1[v]``: best value using exactly one anchored cycle.
     ``absorbed[v]``: best value of a structure whose final element is
     a cycle containing v.
     """
 
     def __init__(self, members: set[EntityNode],
                  adj: dict[EntityNode, list[tuple[EntityNode, int]]],
-                 h_hat: int, additive: bool, budget: _Budget):
+                 h_hat: int, budget: StepBudget):
         self.members = members
         self.adj = {u: [(v, w) for v, w in adj[u] if v in members] for u in members}
         self.h_hat = h_hat
-        self.additive = additive
         self.budget = budget
         self.end0: dict[EntityNode, int] = {}
         self.end1: dict[EntityNode, int] = {}
@@ -370,7 +353,7 @@ class _SccScan:
             visited.discard(nxt)
         # Cycles in one structure are pairwise node-disjoint, so a node
         # anchors at most one of them.
-        if not anchored and (self.additive or cycles == 0):
+        if not anchored and cycles == 0:
             for interior, cycle_weight in self._cycles_at(node, visited):
                 gained = value + self.h_hat * cycle_weight
                 for member in interior | {node}:
@@ -398,19 +381,28 @@ class _SccScan:
         return found
 
 
-def delta_vector(edg: EntityDependenceGraph, origin: EntityNode, h_hat: int,
-                 monotonic: bool, *,
+def delta_vector(edg: EntityDependenceGraph, origins: Iterable[EntityNode],
+                 h_hat: int, *,
                  max_steps: int = DEFAULT_DELTA_STEP_CAP) -> dict[EntityNode, int]:
-    """Best propagation cost from `origin` to every reachable node.
+    """Best propagation cost from any of `origins` to every reachable node.
 
     Condenses the EDG into SCCs, runs the exhaustive structure search
     inside each component, and sweeps the condensation in topological
-    order.  With monotonic entity dependence at most one cycle is ever
-    charged, so a single taken/not-taken flag suffices in the sweep.
+    order with every origin seeded at 0.  The sweep is max-plus linear
+    in its seeds, so the result is the pointwise maximum of the
+    single-origin vectors.  At most one cycle is ever charged, so a
+    single taken/not-taken flag suffices in the sweep.
+
+    The sweep may take `max_steps` per origin, pooled.  It runs each
+    component scan once where separate single-origin sweeps would
+    repeat it, so it never needs more steps than they need together.
     """
-    if origin not in edg.nodes:
-        raise KeyError(f"{origin} is not an EDG node")
-    budget = _Budget(max_steps)
+    origins = list(origins)
+    for origin in origins:
+        if origin not in edg.nodes:
+            raise KeyError(f"{origin} is not an EDG node")
+    budget = StepBudget(max_steps * len(origins),
+                        "degree-of-dependence enumeration exceeded its step budget")
     ordered_nodes = sorted(edg.nodes, key=lambda n: (n.stmt, str(n.entity)))
     adj = {n: [] for n in ordered_nodes}
     for edge in edg.edges:
@@ -419,11 +411,11 @@ def delta_vector(edg: EntityDependenceGraph, origin: EntityNode, h_hat: int,
     sccs = _tarjan_sccs(ordered_nodes, adj)
     # Tarjan emits components in reverse topological order.
     sccs.reverse()
-    additive = not monotonic
 
     NO = None
     dp: dict[EntityNode, list[int | None]] = {n: [NO, NO] for n in ordered_nodes}
-    dp[origin][0] = 0
+    for origin in origins:
+        dp[origin][0] = 0
     result: dict[EntityNode, int] = {}
 
     def bump(table, key, value):
@@ -448,16 +440,15 @@ def delta_vector(edg: EntityDependenceGraph, origin: EntityNode, h_hat: int,
                 continue
             scan = scans.get(u)
             if scan is None:
-                scan = _SccScan(members, adj, h_hat, additive, budget)
+                scan = _SccScan(members, adj, h_hat, budget)
                 scan.run(u)
                 scans[u] = scan
             for v, val in scan.end0.items():
                 if at[v][f] is None or base + val > at[v][f]:
                     at[v][f] = base + val
-            if f == 0 or additive:
-                # Monotonic dependence charges only the heaviest cycle,
-                # so one flag suffices; additive structures may collect
-                # cycles in every component they cross.
+            if f == 0:
+                # Only the heaviest cycle is charged, so a structure
+                # that already took one gains nothing from another.
                 for v, val in scan.end1.items():
                     if at[v][1] is None or base + val > at[v][1]:
                         at[v][1] = base + val
@@ -475,8 +466,7 @@ def delta_vector(edg: EntityDependenceGraph, origin: EntityNode, h_hat: int,
     return result
 
 
-def degree_of_dependence(edg: EntityDependenceGraph, h_hat: int,
-                         monotonic: bool, *,
+def degree_of_dependence(edg: EntityDependenceGraph, h_hat: int, *,
                          max_steps: int = DEFAULT_DELTA_STEP_CAP) -> int:
     """Maximum propagation cost over all entry nodes and targets.
 
@@ -485,12 +475,7 @@ def degree_of_dependence(edg: EntityDependenceGraph, h_hat: int,
     """
     if not edg.edges or not edg.entry_nodes:
         return 0
-    best = 0
-    for origin in sorted(edg.entry_nodes, key=lambda n: (n.stmt, str(n.entity))):
-        vector = delta_vector(edg, origin, h_hat, monotonic, max_steps=max_steps)
-        if vector:
-            best = max(best, max(vector.values()))
-    return best
+    return max(delta_vector(edg, edg.entry_nodes, h_hat, max_steps=max_steps).values())
 
 
 # ---------------------------------------------------------------------------
@@ -519,14 +504,3 @@ def check_monotonic_entity_dependence(edg: EntityDependenceGraph,
             if operand in sources and new_ht < lattice.ht(value):
                 return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# export
-
-
-def export_edg(edg: EntityDependenceGraph) -> str:
-    """Line-based edge list: one 'src dst weight' triple per line."""
-    lines = [f"{edge.src.label()} {edge.dst.label()} {edge.weight}"
-             for edge in sorted(edg.edges, key=_edge_sort_key)]
-    return "\n".join(lines) + ("\n" if lines else "")

@@ -11,10 +11,9 @@ Two solvers are provided:
   reach the same solution but its effort is reported as node visits.
 
 Iteration counting: a solve always ends with one pass in which no
-value changes.  The default convention reports I excluding that final
-verification pass, which is the convention that reproduces the
-fixture iteration counts exactly (see PassConvention); the other
-convention is selectable per call.
+value changes.  ``iterations`` (the measured I) leaves that final
+verification pass out, which reproduces the fixture iteration counts
+exactly; ``passes_executed`` counts it.
 
 All values are initialized to the top element; boundary values are
 applied at the entry node (forward) or at exit nodes (backward).
@@ -24,14 +23,13 @@ immutable and may be shared.
 
 from __future__ import annotations
 
-import enum
 import random
 from collections import deque
 from dataclasses import dataclass
 from functools import reduce
 from typing import Any, Callable, Hashable, Mapping
 
-from .ir import ControlFlowGraph, Program
+from .ir import ControlFlowGraph
 from .cfg_metrics import FORWARD, traversal_order
 
 Entity = Hashable
@@ -161,8 +159,6 @@ class FrameworkInstance:
     dfpuse: dict[int, frozenset[Entity]]
     independent_sources: dict[int, frozenset[Entity]]
     boundary: ProductValue
-    monotonic_entity_dependence: bool
-    program: Program
 
     def __post_init__(self) -> None:
         declared = set(self.space.entities)
@@ -184,18 +180,6 @@ class FrameworkInstance:
         return product_height(self.lattice.height, len(self.space))
 
 
-class PassConvention(enum.Enum):
-    """How the final no-change verification pass is counted in I."""
-
-    EXCLUDE_FINAL_PASS = "exclude-final-pass"
-    INCLUDE_FINAL_PASS = "include-final-pass"
-
-
-# Calibrated against the shipped fixture: the exclude convention
-# reproduces its published iteration counts exactly.
-DEFAULT_CONVENTION = PassConvention.EXCLUDE_FINAL_PASS
-
-
 @dataclass(frozen=True)
 class TraceRecord:
     """One computed-value change: where, what, and the operand values read."""
@@ -215,7 +199,6 @@ class SolveResult:
     iterations: int
     passes_executed: int
     trace: tuple[TraceRecord, ...]
-    convention: PassConvention | None
     visits: int | None = None
 
 
@@ -257,14 +240,13 @@ def _direction_view(fw: FrameworkInstance, cfg: ControlFlowGraph) -> _DirectionV
 
 
 def round_robin_solve(fw: FrameworkInstance, cfg: ControlFlowGraph, *,
-                      convention: PassConvention = DEFAULT_CONVENTION,
                       record_trace: bool = True) -> SolveResult:
     """Round-robin iteration to the maximal fixed point, counting passes.
 
-    Nodes are visited in ``traversal_order``: ascending id order for
-    forward instances and descending order for backward ones.  The
-    final pass in which nothing changes is always executed; whether it
-    is counted in ``iterations`` depends on the convention.
+    Nodes are visited in ``traversal_order``: DFS reverse postorder for
+    forward instances and its reverse for backward ones.  The final
+    pass in which nothing changes is always executed and counted in
+    ``passes_executed``; ``iterations`` leaves it out (at least 1).
     """
     view = _direction_view(fw, cfg)
     top = fw.space.top()
@@ -298,14 +280,10 @@ def round_robin_solve(fw: FrameworkInstance, cfg: ControlFlowGraph, *,
         if not changed:
             break
 
-    if convention is PassConvention.INCLUDE_FINAL_PASS:
-        iterations = passes
-    else:
-        iterations = max(1, passes - 1)
     in_vals, out_vals = view.in_out(before, after)
     return SolveResult(in_values=in_vals, out_values=out_vals,
-                       iterations=iterations, passes_executed=passes,
-                       trace=tuple(trace), convention=convention)
+                       iterations=max(1, passes - 1), passes_executed=passes,
+                       trace=tuple(trace))
 
 
 def _merge(fw: FrameworkInstance, view: _DirectionView, node: int,
@@ -364,7 +342,7 @@ def worklist_solve(fw: FrameworkInstance, cfg: ControlFlowGraph) -> SolveResult:
     in_vals, out_vals = view.in_out(before, after)
     return SolveResult(in_values=in_vals, out_values=out_vals,
                        iterations=max(1, visits), passes_executed=0,
-                       trace=(), convention=None, visits=visits)
+                       trace=(), visits=visits)
 
 
 def check_monotonicity(fw: FrameworkInstance, sample_count: int, seed: int) -> bool:

@@ -46,7 +46,8 @@ class GeneratorConfig:
 
     ``variable_count`` may be a fixed int or an inclusive (lo, hi)
     range sampled per program.  ``node_budget`` bounds the node count
-    from above; the structural builder may stop short.
+    from above; the structural builder may stop short.  Out-of-range
+    values raise ValueError.
     """
 
     seed: int = 42
@@ -56,6 +57,15 @@ class GeneratorConfig:
     stmt_weights: Mapping[str, float] = field(
         default_factory=lambda: dict(DEFAULT_STMT_WEIGHTS))
     irreducible_edge_probability: float = 0.0
+
+    def __post_init__(self) -> None:
+        if self.node_budget < 1:
+            raise ValueError(f"node budget must be at least 1, got {self.node_budget}")
+        if self.loop_depth < 0:
+            raise ValueError(f"loop depth must be non-negative, got {self.loop_depth}")
+        if not 0.0 <= self.irreducible_edge_probability <= 1.0:
+            raise ValueError("irreducible edge probability must lie in [0, 1], "
+                             f"got {self.irreducible_edge_probability}")
 
 
 class _Builder:
@@ -104,9 +114,8 @@ class _Builder:
         return Skip()
 
     def build(self) -> Program:
-        budget = max(1, self.config.node_budget)
         head = self.fresh_node(self.random_stmt())
-        tail = self.sequence(head, budget - 1, self.config.loop_depth)
+        tail = self.sequence(head, self.config.node_budget - 1, self.config.loop_depth)
         self.maybe_add_extra_edges(tail)
         return Program(
             name=self.name,

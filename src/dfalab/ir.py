@@ -8,7 +8,8 @@ line oriented:
     vars NAME ("," NAME)*
     node INT STMT
     edge INT "->" INT
-    entry INT            (optional; defaults to the lowest node id)
+    entry INT            (optional, at most once; defaults to the
+                          lowest node id)
     exit INT             (optional, repeatable; defaults to nodes
                           without successors)
 
@@ -286,6 +287,8 @@ class _LineParser:
         elif keyword == "entry":
             if len(tokens) != 2 or not _INT_RE.match(tokens[1]):
                 raise ParseError("expected 'entry INT'", lineno, 1)
+            if self.entry is not None:
+                raise ParseError("second 'entry' line", lineno, 1)
             self.entry = int(tokens[1])
         elif keyword == "exit":
             if len(tokens) != 2 or not _INT_RE.match(tokens[1]):

@@ -77,14 +77,12 @@ def enumerate_depth(cfg: ControlFlowGraph,
 # exhaustive degree-of-dependence enumeration
 
 
-def enumerate_delta_vector(edg, origin, h_hat: int,
-                           monotonic: bool) -> dict[object, int]:
+def enumerate_delta_vector(edg, origin, h_hat: int) -> dict[object, int]:
     """Best propagation cost per target by enumerating every path structure.
 
     A structure is a simple path with node-disjoint simple cycles
     attached at path nodes.  Cost: segment weights plus h_hat times
-    the max cycle weight (monotonic) or the sum over cycles.  A
-    structure may also end with a cycle, covering every node of that
+    the max cycle weight (monotonic entity dependence).  A structure may also end with a cycle, covering every node of that
     cycle at no trailing cost.
     """
     adj: dict[object, list[tuple[object, int]]] = {n: [] for n in edg.nodes}
@@ -94,11 +92,7 @@ def enumerate_delta_vector(edg, origin, h_hat: int,
     best: dict[object, int] = {}
 
     def value_of(segments: int, cycles: tuple[int, ...]) -> int:
-        if not cycles:
-            return segments
-        if monotonic:
-            return segments + h_hat * max(cycles)
-        return segments + sum(h_hat * c for c in cycles)
+        return segments + h_hat * max(cycles, default=0)
 
     def cycles_at(anchor, banned: set) -> list[tuple[frozenset, int]]:
         found: list[tuple[frozenset, int]] = []
@@ -142,12 +136,12 @@ def enumerate_delta_vector(edg, origin, h_hat: int,
     return best
 
 
-def enumerate_degree(edg, h_hat: int, monotonic: bool) -> int:
+def enumerate_degree(edg, h_hat: int) -> int:
     if not edg.edges or not edg.entry_nodes:
         return 0
     best = 0
     for origin in edg.entry_nodes:
-        vector = enumerate_delta_vector(edg, origin, h_hat, monotonic)
+        vector = enumerate_delta_vector(edg, origin, h_hat)
         if vector:
             best = max(best, max(vector.values()))
     return best

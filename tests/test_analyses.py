@@ -84,7 +84,6 @@ class TestCpFramework:
         assert fw.lattice.height == 2
         assert fw.product_lattice_height() == 8
         assert fw.direction == "forward"
-        assert fw.monotonic_entity_dependence
 
     def test_fig3_dfp_sets(self, fig3, fig3_cfg):
         fw = make_constant_propagation(fig3, fig3_cfg)

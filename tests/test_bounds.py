@@ -3,16 +3,18 @@ import json
 import pytest
 
 from dfalab import (
+    ANALYSIS_KINDS,
     CSV_HEADER,
+    GeneratorConfig,
     build_edg,
     edg_bound,
     emit_report,
+    generate_corpus,
     make_record,
     simplistic_bound,
 )
 from dfalab import bounds
 from dfalab.bounds import ProgramPipeline
-from dfalab.engine import PassConvention
 
 
 @pytest.mark.parametrize("d,H,expected", [(3, 8, 25), (3, 4, 13), (0, 17, 1), (0, 0, 1)])
@@ -63,10 +65,11 @@ class TestMakeRecord:
         assert r.dev2 == r.b2 - r.iterations
 
     def test_convention_switch_shifts_iterations(self, fig3):
-        exclude = make_record(fig3, "cp")
-        include = make_record(fig3, "cp",
-                              convention=PassConvention.INCLUDE_FINAL_PASS)
-        assert include.iterations == exclude.iterations + 1
+        # I leaves out the final no-change pass that passes_executed counts.
+        pipeline = ProgramPipeline(fig3)
+        for kind in ("cp", "faint"):
+            assert (pipeline.solution(kind).passes_executed
+                    == pipeline.record(kind).iterations + 1)
 
 
 class TestEmitReport:
@@ -128,3 +131,21 @@ def test_pipeline_edg_matches_standalone_build(fig3):
     for kind in ("cp", "faint", "avail"):
         standalone = build_edg(fig3, pipeline.framework(kind), cfg=pipeline.cfg)
         assert pipeline.edg(kind) == standalone
+
+
+def test_irreducible_corpus_meets_every_bound():
+    """Visiting in DFS reverse postorder keeps I within the d-based bounds.
+
+    Id-order visits broke a bound on 78 of these 1,500 records, among
+    them p0005 avail (d=2, B2=3, I=4).
+    """
+    config = GeneratorConfig(seed=7, node_budget=40, irreducible_edge_probability=0.05)
+    violated = []
+    for program in generate_corpus(config, 300):
+        pipeline = ProgramPipeline(program)
+        violated += [(program.name, kind) for kind in ANALYSIS_KINDS
+                     if pipeline.record(kind).bound_violated]
+        if program.name == "p0005":
+            avail = pipeline.record("avail")
+            assert (avail.d, avail.b2, avail.iterations) == (2, 3, 3)
+    assert violated == []

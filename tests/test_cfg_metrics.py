@@ -80,6 +80,13 @@ def test_traversal_orders(fig3_cfg):
     assert traversal_order(fig3_cfg, "backward") == (8, 7, 6, 5, 4, 3, 2, 1)
 
 
+def test_traversal_follows_reverse_postorder():
+    # The DFS reaches 3 before 2, so id order would visit 2 first.
+    cfg = build_cfg(make_program([Skip()] * 4, [(1, 3), (3, 2), (2, 4)]))
+    assert traversal_order(cfg, "forward") == (1, 3, 2, 4)
+    assert traversal_order(cfg, "backward") == (4, 2, 3, 1)
+
+
 def test_traversal_single_node(single_skip):
     cfg = build_cfg(single_skip)
     assert traversal_order(cfg, "forward") == (1,)
@@ -93,11 +100,9 @@ def test_depth_equals_max_pairwise_weight(fig3_cfg):
 
 
 def test_node_cap_guards_large_graphs():
-    p = chain_program([Skip()] * 70)
-    cfg = build_cfg(p)
     with pytest.raises(SearchBudgetExceeded):
-        depth(cfg, node_cap=64)
-    assert depth(cfg, node_cap=128) == 0
+        depth(build_cfg(chain_program([Skip()] * 65)))
+    assert depth(build_cfg(chain_program([Skip()] * 64))) == 0
 
 
 class TestAgainstEnumeration:

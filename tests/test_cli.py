@@ -79,6 +79,11 @@ class TestReport:
         assert main(["report", str(fig3_file)]) == EXIT_OK
         assert [r["analysis"] for r in rows(capsys.readouterr().out)] == ["cp", "faint"]
 
+    def test_missing_out_directory_fails_in_one_line(self, fig3_file, tmp_path, capsys):
+        out = tmp_path / "missing_dir" / "x.csv"
+        assert main(["report", str(fig3_file), "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"dfalab: {out}: No such file or directory\n"
+
 
 class TestGenerate:
     def test_writes_deterministic_files(self, tmp_path):
@@ -102,11 +107,17 @@ class TestGenerate:
         assert code == EXIT_OK
         assert len(rows(capsys.readouterr().out)) == 3
 
+    def test_out_is_a_file_fails_in_one_line(self, fig3_file, capsys):
+        assert main(["generate", "--count", "1", "--out", str(fig3_file)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"dfalab: {fig3_file}: File exists\n"
 
     @pytest.mark.parametrize("flags,message", [
         (["--count", "0"], "count must be positive"),
         (["--vars", "8-4"], "range '8-4' is empty"),
         (["--vars", "x"], "--vars expects a count"),
+        (["--nodes", "0"], "node budget must be at least 1"),
+        (["--loops", "-1"], "loop depth must be non-negative"),
+        (["--irreducible", "2"], "irreducible edge probability must lie in [0, 1]"),
     ])
     def test_bad_arguments_fail_in_one_line(self, tmp_path, capsys, flags, message):
         out = tmp_path / "corpus"
@@ -145,6 +156,10 @@ class TestCorpus:
             counts = [int(line.split()[1])
                       for line in (out / name).read_text().splitlines()]
             assert sum(counts) == records
+
+    def test_out_is_a_file_fails_in_one_line(self, corpus_dir, fig3_file, capsys):
+        assert main(["corpus", str(corpus_dir), "--out", str(fig3_file)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"dfalab: {fig3_file}: File exists\n"
 
     def test_empty_directory_is_usage_error(self, tmp_path, capsys):
         empty = tmp_path / "void"

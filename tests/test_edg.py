@@ -10,7 +10,6 @@ from dfalab import (
     check_monotonic_entity_dependence,
     degree_of_dependence,
     delta_vector,
-    export_edg,
     make_bitvector_framework,
     make_constant_propagation,
     make_faint_variables,
@@ -18,6 +17,7 @@ from dfalab import (
     path_delta,
     round_robin_solve,
 )
+from dfalab import edg as edg_module
 from dfalab.analyses import CP_LATTICE, NONCONST, UNDEF
 from dfalab.edg import (
     EdgEdge,
@@ -104,7 +104,7 @@ class TestFig3Structure:
         edg = build_edg(program, fw, cfg=cfg)
         assert edg.nodes
         assert edg.entry_nodes == frozenset()
-        assert degree_of_dependence(edg, 2, True) == 0
+        assert degree_of_dependence(edg, 2) == 0
 
     def test_weights_match_cfg_metric(self, cp_edg, fv_edg, fig3_cfg):
         for edge in cp_edg.edges:  # forward: from src stmt to dst stmt
@@ -170,11 +170,6 @@ class TestPathDelta:
                                   target=target)
             assert path_delta(fv_edg, path, 1) == 6
 
-    def test_additive_mode_sums_cycles(self, cp_edg):
-        path = StructuredPath(origin=N("z", 7), elements=(self._cp_cycle(cp_edg),),
-                              target=N("z", 7))
-        assert path_delta(cp_edg, path, 2, monotonic=False) == 6
-
     def test_unknown_edge_rejected(self, cp_edg):
         bogus = EdgEdge(N("w", 1), N("x", 5), 0)
         path = StructuredPath(origin=N("w", 1),
@@ -212,27 +207,27 @@ class TestPathDelta:
 
 class TestDegreeOfDependence:
     def test_fig3_cp(self, cp_edg):
-        assert degree_of_dependence(cp_edg, 2, True) == 6
+        assert degree_of_dependence(cp_edg, 2) == 6
 
     def test_fig3_fv(self, fv_edg):
-        assert degree_of_dependence(fv_edg, 1, True) == 6
+        assert degree_of_dependence(fv_edg, 1) == 6
 
     def test_fig3_avail(self, fig3, fig3_cfg):
         fw = make_bitvector_framework(fig3, "avail", fig3_cfg)
         edg = build_edg(fig3, fw, cfg=fig3_cfg)
-        assert degree_of_dependence(edg, 1, True) == 0
+        assert degree_of_dependence(edg, 1) == 0
 
     def test_fig3_delta_vectors(self, cp_edg, fv_edg):
-        cp_vec = delta_vector(cp_edg, N("w", 1), 2, True)
+        cp_vec = delta_vector(cp_edg, [N("w", 1)], 2)
         assert cp_vec == {N("w", 1): 0, N("z", 7): 6, N("y", 6): 6,
                           N("x", 5): 6, N("w", 8): 6}
-        fv_vec = delta_vector(fv_edg, N("x", 2), 1, True)
+        fv_vec = delta_vector(fv_edg, [N("x", 2)], 1)
         assert fv_vec == {N("x", 2): 0, N("y", 5): 6, N("z", 6): 6,
                           N("w", 7): 6, N("x", 8): 6}
 
     def test_unknown_origin(self, cp_edg):
         with pytest.raises(KeyError):
-            delta_vector(cp_edg, N("q", 99), 2, True)
+            delta_vector(cp_edg, [N("q", 99)], 2)
 
     def test_budget_guard(self):
         # Dense strongly connected core fed by a single entry node.
@@ -245,7 +240,56 @@ class TestDegreeOfDependence:
             nodes=frozenset([entry] + core), edges=tuple(edges),
             entry_nodes=frozenset([entry]))
         with pytest.raises(SearchBudgetExceeded):
-            degree_of_dependence(edg, 2, True, max_steps=50)
+            degree_of_dependence(edg, 2, max_steps=50)
+
+    def test_budget_is_pooled_over_entry_nodes(self):
+        # Two entry nodes, each feeding its own dense core, so the sweep
+        # needs about the steps of both single-origin sweeps together.
+        entries, edges = [], []
+        for tag, base in (("a", 10), ("b", 20)):
+            core = [N(f"{tag}{i}", base + i) for i in range(1, 5)]
+            entries.append(N(tag, base))
+            edges += [EdgEdge(entries[-1], core[0], 1)]
+            edges += [EdgEdge(x, y, 1) for x in core for y in core if x != y]
+        edg = EntityDependenceGraph(
+            kind="synthetic", direction="forward",
+            nodes=frozenset(e for edge in edges for e in (edge.src, edge.dst)),
+            edges=tuple(edges), entry_nodes=frozenset(entries))
+
+        def steps_needed(origins):
+            # Smallest pooled budget (max_steps times origins) that fits.
+            lo, hi = 1, 1 << 20
+            while lo < hi:
+                mid = (lo + hi) // 2
+                try:
+                    delta_vector(edg, origins, 2, max_steps=mid)
+                    hi = mid
+                except SearchBudgetExceeded:
+                    lo = mid + 1
+            return lo * len(origins)
+
+        alone = max(steps_needed([origin]) for origin in entries)
+        assert steps_needed(entries) > alone
+        assert (degree_of_dependence(edg, 2, max_steps=alone)
+                == enumerate_degree(edg, 2))
+
+    def test_one_sweep_for_all_entry_nodes(self, monkeypatch):
+        a, b, c, d, e = (N(f"e{i}", i) for i in range(1, 6))
+        edg = EntityDependenceGraph(
+            kind="synthetic", direction="forward", nodes=frozenset((a, b, c, d, e)),
+            edges=(EdgEdge(a, c, 1), EdgEdge(b, c, 2), EdgEdge(c, d, 1),
+                   EdgEdge(d, c, 1), EdgEdge(b, e, 0)),
+            entry_nodes=frozenset((a, b)))
+        calls = []
+        original = edg_module.delta_vector
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(edg_module, "delta_vector", counting)
+        assert degree_of_dependence(edg, 2) == enumerate_degree(edg, 2) == 6
+        assert len(calls) == 1
 
 
 def _random_edg(rng, nodes=6, density=0.35, max_weight=3):
@@ -270,17 +314,29 @@ class TestAgainstEnumeration:
     """SCC-based search must agree with brute-force structure enumeration."""
 
     @pytest.mark.parametrize("seed", range(40))
-    @pytest.mark.parametrize("monotonic", [True, False])
-    def test_synthetic_graphs(self, seed, monotonic):
+    @pytest.mark.parametrize("single", [True, False])
+    def test_synthetic_graphs(self, seed, single):
+        """Each node alone as origin, or (single=False) random origin sets.
+
+        A sweep from several origins must give the pointwise maximum of
+        their single-origin vectors.
+        """
         rng = random.Random(seed)
         edg = _random_edg(rng, nodes=rng.randint(2, 7), density=rng.uniform(0.15, 0.5))
         h_hat = rng.randint(1, 3)
-        for origin in sorted(edg.nodes, key=lambda n: n.stmt):
-            fast = delta_vector(edg, origin, h_hat, monotonic)
-            slow = enumerate_delta_vector(edg, origin, h_hat, monotonic)
-            assert fast == slow, (seed, origin, monotonic)
-        assert (degree_of_dependence(edg, h_hat, monotonic)
-                == enumerate_degree(edg, h_hat, monotonic))
+        nodes = sorted(edg.nodes, key=lambda n: n.stmt)
+        if single:
+            origin_sets = [[n] for n in nodes]
+        else:
+            origin_sets = [rng.sample(nodes, rng.randint(2, len(nodes)))
+                           for _ in range(6)]
+        for origins in origin_sets:
+            expected: dict = {}
+            for origin in origins:
+                for node, value in enumerate_delta_vector(edg, origin, h_hat).items():
+                    expected[node] = max(value, expected.get(node, value))
+            assert delta_vector(edg, origins, h_hat) == expected, (seed, origins)
+        assert degree_of_dependence(edg, h_hat) == enumerate_degree(edg, h_hat)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_generated_program_edgs(self, seed):
@@ -293,12 +349,11 @@ class TestAgainstEnumeration:
             edg = build_edg(program, fw, cfg=cfg)
             if len(edg.nodes) > 10:
                 continue
-            assert (degree_of_dependence(edg, h_hat, True)
-                    == enumerate_degree(edg, h_hat, True))
+            assert degree_of_dependence(edg, h_hat) == enumerate_degree(edg, h_hat)
 
     def test_fig3(self, cp_edg, fv_edg):
-        assert enumerate_degree(cp_edg, 2, True) == 6
-        assert enumerate_degree(fv_edg, 1, True) == 6
+        assert enumerate_degree(cp_edg, 2) == 6
+        assert enumerate_degree(fv_edg, 1) == 6
 
 
 class TestConditionTen:
@@ -323,14 +378,11 @@ class TestConditionTen:
 
 class TestExport:
     def test_fig3_cp_golden(self, cp_edg):
-        assert export_edg(cp_edg) == (
-            "w_1 z_7 0\n"
-            "x_5 w_8 0\n"
-            "y_6 x_5 1\n"
-            "z_7 y_6 1\n"
-            "w_8 z_7 1\n"
-        )
-
-    def test_edgeless_export_is_empty(self, fig3, fig3_cfg):
-        fw = make_bitvector_framework(fig3, "avail", fig3_cfg)
-        assert export_edg(build_edg(fig3, fw, cfg=fig3_cfg)) == ""
+        # Edges come sorted by source statement, then target statement.
+        assert [(e.src.label(), e.dst.label(), e.weight) for e in cp_edg.edges] == [
+            ("w_1", "z_7", 0),
+            ("x_5", "w_8", 0),
+            ("y_6", "x_5", 1),
+            ("z_7", "y_6", 1),
+            ("w_8", "z_7", 1),
+        ]

@@ -14,13 +14,7 @@ from dfalab import (
     worklist_solve,
 )
 from dfalab.analyses import CP_LATTICE, FAINT, FV_LATTICE, NONCONST, NOT_FAINT, UNDEF
-from dfalab.engine import (
-    DEFAULT_CONVENTION,
-    EntitySpace,
-    FrameworkInstance,
-    PassConvention,
-    ProductValue,
-)
+from dfalab.engine import EntitySpace, FrameworkInstance, ProductValue
 from dfalab.ir import ConstAssign, Print, Skip
 
 from conftest import chain_program, make_program
@@ -91,25 +85,26 @@ def test_product_height(h_hat, xi, expected):
 
 
 class TestRoundRobinCalibration:
-    """The exclude-final-pass convention reproduces the fixture counts.
+    """I, leaving out the final no-change pass, reproduces the fixture counts.
 
-    fig3: 9 (cp) and 7 (faint); the swap variant: 5 for both.  The
-    include convention is exactly one higher everywhere.
+    fig3: 9 (cp) and 7 (faint); the swap variant: 5 for both.
+    ``passes_executed``, which counts that pass, is exactly one higher.
     """
 
-    def test_default_is_exclude(self):
-        assert DEFAULT_CONVENTION is PassConvention.EXCLUDE_FINAL_PASS
+    def test_default_is_exclude(self, fig3, fig3_swap):
+        for program in (fig3, fig3_swap):
+            cfg = build_cfg(program)
+            for make in (make_constant_propagation, make_faint_variables):
+                result = round_robin_solve(make(program, cfg), cfg)
+                assert result.passes_executed == result.iterations + 1
 
     @pytest.mark.parametrize("kind,expected", [("cp", 9), ("faint", 7)])
     def test_fig3_counts(self, fig3, fig3_cfg, kind, expected):
         fw = (make_constant_propagation if kind == "cp" else make_faint_variables)(
             fig3, fig3_cfg)
-        exclude = round_robin_solve(fw, fig3_cfg)
-        include = round_robin_solve(fw, fig3_cfg,
-                                    convention=PassConvention.INCLUDE_FINAL_PASS)
-        assert exclude.iterations == expected
-        assert include.iterations == expected + 1
-        assert exclude.passes_executed == include.passes_executed == expected + 1
+        result = round_robin_solve(fw, fig3_cfg)
+        assert result.iterations == expected
+        assert result.passes_executed == expected + 1
 
     @pytest.mark.parametrize("kind,expected", [("cp", 5), ("faint", 5)])
     def test_swap_counts(self, fig3_swap, kind, expected):
@@ -188,7 +183,6 @@ class TestMonotonicity:
             assert check_monotonicity(make(fig3, fig3_cfg), 300, seed=7)
 
     def _broken_framework(self):
-        program = chain_program([Skip()], variables=("x",), name="bad")
         space = EntitySpace(("x",), CP_LATTICE)
 
         def broken(value: ProductValue) -> ProductValue:
@@ -197,15 +191,14 @@ class TestMonotonicity:
                 return value.replacing({"x": UNDEF})
             return value.replacing({"x": NONCONST})
 
-        return program, FrameworkInstance(
+        return FrameworkInstance(
             kind="broken", direction="forward", space=space,
             transfers={1: broken}, dfpmod={1: frozenset(("x",))},
             dfpuse={1: frozenset()}, independent_sources={1: frozenset()},
-            boundary=space.top(), monotonic_entity_dependence=False,
-            program=program)
+            boundary=space.top())
 
     def test_broken_transfer_detected(self):
-        _, fw = self._broken_framework()
+        fw = self._broken_framework()
         assert not check_monotonicity(fw, 200, seed=3)
 
     def test_sample_count_must_be_positive(self, fig3, fig3_cfg):
@@ -229,7 +222,6 @@ def test_divergence_guard_fires():
         dfpmod={1: frozenset(("x",)), 2: frozenset(("x",))},
         dfpuse={1: frozenset(), 2: frozenset()},
         independent_sources={1: frozenset(), 2: frozenset()},
-        boundary=space.top(), monotonic_entity_dependence=False,
-        program=program)
+        boundary=space.top())
     with pytest.raises(DivergenceError):
         round_robin_solve(fw, cfg, record_trace=False)

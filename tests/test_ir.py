@@ -74,6 +74,10 @@ class TestParse:
         else:
             pytest.fail("expected ParseError")
 
+    def test_second_entry_line(self):
+        with pytest.raises(ParseError, match="line 5, column 1: second 'entry' line"):
+            parse_program("program t\nvars a\nnode 1  skip\nentry 1\nentry 1\n")
+
     def test_literal_out_of_range(self):
         with pytest.raises(ParseError, match="out of 64-bit range"):
             parse_program(f"program t\nvars a\nnode 1  a = {2**63}\n")
