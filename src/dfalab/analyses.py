@@ -20,15 +20,14 @@ other.
 
 from __future__ import annotations
 
-import random
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable, Mapping, NamedTuple
 
 from .cfg_metrics import BACKWARD, FORWARD
 from .engine import (
     ComponentLattice,
     EntitySpace,
     FrameworkInstance,
-    ProductValue,
+    Value,
 )
 from .ir import (
     ASSIGNMENTS,
@@ -95,24 +94,12 @@ def cp_ht(value: CPValue) -> int:
     return 1
 
 
-def _cp_sample(rng: random.Random) -> CPValue:
-    roll = rng.randrange(6)
-    if roll == 0:
-        return UNDEF
-    if roll == 1:
-        return NONCONST
-    return rng.randint(-3, 3)
-
-
 CP_LATTICE = ComponentLattice(
-    name="constant",
     top=UNDEF,
     bottom=NONCONST,
     meet=cp_meet,
     ht=cp_ht,
     height=2,
-    sample=_cp_sample,
-    fmt=lambda v: repr(v),
 )
 
 _ARITH: dict[str, Callable[[int, int], int]] = {
@@ -122,34 +109,37 @@ _ARITH: dict[str, Callable[[int, int], int]] = {
 }
 
 
-def _cp_operand(value: ProductValue, operand: str | int) -> CPValue:
-    return operand if isinstance(operand, int) else value[operand]
+def _cp_operand(value: Value, index: Mapping[str, int], operand: str | int) -> CPValue:
+    return operand if isinstance(operand, int) else value[index[operand]]
 
 
-def cp_transfer(stmt: Statement, value: ProductValue) -> ProductValue:
+def cp_transfer(stmt: Statement, value: Value, index: Mapping[str, int]) -> Value:
     """Abstract effect of one statement on per-variable constancy.
 
-    Binary operators evaluate concretely when both operands are
-    constants (wrapping at 64 bits); a nonconst operand forces
-    nonconst, otherwise an undef operand leaves the result undef.
+    ``index`` maps each variable to its position in ``value``.  Binary
+    operators evaluate concretely when both operands are constants
+    (wrapping at 64 bits); a nonconst operand forces nonconst,
+    otherwise an undef operand leaves the result undef.
     """
     if isinstance(stmt, ConstAssign):
-        return value.replacing({stmt.target: wrap64(stmt.value)})
-    if isinstance(stmt, ReadAssign):
-        return value.replacing({stmt.target: NONCONST})
-    if isinstance(stmt, CopyAssign):
-        return value.replacing({stmt.target: value[stmt.source]})
-    if isinstance(stmt, BinAssign):
-        left = _cp_operand(value, stmt.left)
-        right = _cp_operand(value, stmt.right)
+        result: CPValue = wrap64(stmt.value)
+    elif isinstance(stmt, ReadAssign):
+        result = NONCONST
+    elif isinstance(stmt, CopyAssign):
+        result = value[index[stmt.source]]
+    elif isinstance(stmt, BinAssign):
+        left = _cp_operand(value, index, stmt.left)
+        right = _cp_operand(value, index, stmt.right)
         if left is NONCONST or right is NONCONST:
-            result: CPValue = NONCONST
+            result = NONCONST
         elif left is UNDEF or right is UNDEF:
             result = UNDEF
         else:
             result = wrap64(_ARITH[stmt.op](left, right))
-        return value.replacing({stmt.target: result})
-    return value
+    else:
+        return value
+    i = index[stmt.target]
+    return value[:i] + (result,) + value[i + 1:]
 
 
 def make_constant_propagation(program: Program,
@@ -158,12 +148,12 @@ def make_constant_propagation(program: Program,
     if cfg is None:
         cfg = build_cfg(program)
     space = EntitySpace(tuple(program.variables), CP_LATTICE)
-    transfers: dict[int, Callable[[ProductValue], ProductValue]] = {}
+    transfers: dict[int, Callable[[Value], Value]] = {}
     dfpmod: dict[int, frozenset] = {}
     dfpuse: dict[int, frozenset] = {}
     sources: dict[int, frozenset] = {}
     for node, stmt in program.nodes.items():
-        transfers[node] = (lambda v, s=stmt: cp_transfer(s, v))
+        transfers[node] = (lambda v, s=stmt: cp_transfer(s, v, space.index))
         target = stmt_target(stmt)
         if target is not None:
             dfpmod[node] = frozenset((target,))
@@ -179,8 +169,7 @@ def make_constant_propagation(program: Program,
             sources[node] = frozenset()
     return FrameworkInstance(
         kind=CP_KIND, direction=FORWARD, space=space, transfers=transfers,
-        dfpmod=dfpmod, dfpuse=dfpuse, independent_sources=sources,
-        boundary=space.top())
+        dfpmod=dfpmod, dfpuse=dfpuse, independent_sources=sources)
 
 
 # ---------------------------------------------------------------------------
@@ -190,40 +179,39 @@ FAINT = _Token("faint")
 NOT_FAINT = _Token("not-faint")
 
 
-def _two_point_lattice(name: str, top: _Token, bottom: _Token) -> ComponentLattice:
+def _two_point_lattice(top: _Token, bottom: _Token) -> ComponentLattice:
     def meet(a, b):
         return a if a is b else bottom
 
     def ht(v):
         return 0 if v is top else 1
 
-    def sample(rng: random.Random):
-        return top if rng.randrange(2) == 0 else bottom
-
-    return ComponentLattice(name=name, top=top, bottom=bottom, meet=meet,
-                            ht=ht, height=1, sample=sample,
-                            fmt=lambda v: v.label)
+    return ComponentLattice(top=top, bottom=bottom, meet=meet, ht=ht, height=1)
 
 
-FV_LATTICE = _two_point_lattice("faintness", FAINT, NOT_FAINT)
+FV_LATTICE = _two_point_lattice(FAINT, NOT_FAINT)
 
 
-def fv_transfer(stmt: Statement, value: ProductValue) -> ProductValue:
+def fv_transfer(stmt: Statement, value: Value, index: Mapping[str, int]) -> Value:
     """Backward effect on faintness given the value after the statement.
 
-    An assignment overwrites its target, so the target is faint before
+    ``index`` maps each variable to its position in ``value``.  An
+    assignment overwrites its target, so the target is faint before
     the statement unless it also appears on the right-hand side of a
     statement whose target is needed; right-hand-side variables become
     not-faint exactly when the target is not-faint afterwards.
     """
     if isinstance(stmt, ASSIGNMENTS):
-        updates: dict[str, _Token] = {stmt.target: FAINT}
-        if value[stmt.target] is NOT_FAINT:
+        vals = list(value)
+        target = index[stmt.target]
+        vals[target] = FAINT
+        if value[target] is NOT_FAINT:
             for var in stmt_uses(stmt):
-                updates[var] = NOT_FAINT
-        return value.replacing(updates)
+                vals[index[var]] = NOT_FAINT
+        return tuple(vals)
     if isinstance(stmt, Print):
-        return value.replacing({stmt.source: NOT_FAINT})
+        i = index[stmt.source]
+        return value[:i] + (NOT_FAINT,) + value[i + 1:]
     return value
 
 
@@ -233,12 +221,12 @@ def make_faint_variables(program: Program,
     if cfg is None:
         cfg = build_cfg(program)
     space = EntitySpace(tuple(program.variables), FV_LATTICE)
-    transfers: dict[int, Callable[[ProductValue], ProductValue]] = {}
+    transfers: dict[int, Callable[[Value], Value]] = {}
     dfpmod: dict[int, frozenset] = {}
     dfpuse: dict[int, frozenset] = {}
     sources: dict[int, frozenset] = {}
     for node, stmt in program.nodes.items():
-        transfers[node] = (lambda v, s=stmt: fv_transfer(s, v))
+        transfers[node] = (lambda v, s=stmt: fv_transfer(s, v, space.index))
         if isinstance(stmt, ASSIGNMENTS):
             dfpmod[node] = stmt_uses(stmt)
             dfpuse[node] = frozenset((stmt.target,))
@@ -253,8 +241,7 @@ def make_faint_variables(program: Program,
             sources[node] = frozenset()
     return FrameworkInstance(
         kind=FAINT_KIND, direction=BACKWARD, space=space, transfers=transfers,
-        dfpmod=dfpmod, dfpuse=dfpuse, independent_sources=sources,
-        boundary=space.top())
+        dfpmod=dfpmod, dfpuse=dfpuse, independent_sources=sources)
 
 
 # ---------------------------------------------------------------------------
@@ -327,16 +314,15 @@ def program_expressions(program: Program) -> tuple[tuple[str, frozenset[str]], .
 # ---------------------------------------------------------------------------
 # bit-vector frameworks
 
-def _constant_write_transfer(space: EntitySpace,
-                             writes: tuple[tuple[int, Any], ...]):
+def _constant_write_transfer(writes: tuple[tuple[int, Any], ...]):
     if not writes:
         return lambda v: v
 
-    def transfer(value: ProductValue) -> ProductValue:
-        vals = list(value.values)
+    def transfer(value: Value) -> Value:
+        vals = list(value)
         for idx, val in writes:
             vals[idx] = val
-        return ProductValue(space, tuple(vals))
+        return tuple(vals)
 
     return transfer
 
@@ -354,26 +340,23 @@ def make_bitvector_framework(program: Program, kind: str,
     if cfg is None:
         cfg = build_cfg(program)
     if kind == AVAIL_KIND:
-        lattice = _two_point_lattice("availability",
-                                     _Token("avail"), _Token("not-avail"))
+        lattice = _two_point_lattice(_Token("avail"), _Token("not-avail"))
         entities: tuple = tuple(key for key, _ in program_expressions(program))
         operands = dict(program_expressions(program))
         direction = FORWARD
     elif kind == REACH_KIND:
-        lattice = _two_point_lattice("reaching",
-                                     _Token("not-reaching"), _Token("reaching"))
+        lattice = _two_point_lattice(_Token("not-reaching"), _Token("reaching"))
         entities = program_definitions(program)
         direction = FORWARD
     elif kind == LIVE_KIND:
-        lattice = _two_point_lattice("liveness",
-                                     _Token("not-live"), _Token("live"))
+        lattice = _two_point_lattice(_Token("not-live"), _Token("live"))
         entities = program_uses(program)
         direction = BACKWARD
     else:
         raise ValueError(f"unknown bit-vector kind {kind!r}")
 
     space = EntitySpace(entities, lattice)
-    transfers: dict[int, Callable[[ProductValue], ProductValue]] = {}
+    transfers: dict[int, Callable[[Value], Value]] = {}
     dfpmod: dict[int, frozenset] = {}
     dfpuse: dict[int, frozenset] = {}
     sources: dict[int, frozenset] = {}
@@ -405,14 +388,13 @@ def make_bitvector_framework(program: Program, kind: str,
             for e in by_stmt.get(node, ()):
                 writes.append((space.index[e], lattice.bottom))
                 bottom_written.append(e)
-        transfers[node] = _constant_write_transfer(space, tuple(writes))
+        transfers[node] = _constant_write_transfer(tuple(writes))
         dfpmod[node] = sources[node] = frozenset(bottom_written)
         dfpuse[node] = frozenset()
 
     return FrameworkInstance(
         kind=kind, direction=direction, space=space, transfers=transfers,
-        dfpmod=dfpmod, dfpuse=dfpuse, independent_sources=sources,
-        boundary=space.top())
+        dfpmod=dfpmod, dfpuse=dfpuse, independent_sources=sources)
 
 
 def make_framework(program: Program, kind: str,

@@ -6,8 +6,9 @@ value computed for beta at statement j directly reads the instance of
 alpha coming from statement i.  Instances are resolved with the
 solution of the renamed reaching-definitions framework (``reach``, for
 forward analyses) or the renamed live-uses framework (``live``, for
-backward analyses); separable bit-vector instances never produce
-edges.
+backward analyses): they are the components at bottom in that
+solution's tuples, named through its ``space``.  Separable bit-vector
+instances never produce edges.
 
 Each edge carries the maximum back-edge count over acyclic CFG paths
 between its two statements, oriented by analysis direction.  The
@@ -23,7 +24,7 @@ components and combines exhaustive small searches inside each
 component with one longest-path sweep over the condensation, seeded
 at every entry node.  Only the heaviest cycle of a structure is
 charged, which is sound under monotonic entity dependence (condition
-10, checked on solve traces by ``check_monotonic_entity_dependence``).
+10; the test suite checks it on solve traces).
 The search for one EDG may take one million steps per entry node,
 pooled over the sweep.
 """
@@ -43,11 +44,8 @@ from .analyses import (
 )
 from .cfg_metrics import FORWARD, StepBudget, WeightTable
 from .engine import (
-    ComponentLattice,
     FrameworkInstance,
-    ProductValue,
     SolveResult,
-    TraceRecord,
     round_robin_solve,
 )
 from .ir import ControlFlowGraph, Program, build_cfg
@@ -105,11 +103,6 @@ def _edge_sort_key(edge: EdgEdge):
     return (edge.src.stmt, str(edge.src.entity), edge.dst.stmt, str(edge.dst.entity))
 
 
-def _at_bottom(value: ProductValue) -> list[Hashable]:
-    bottom = value.space.lattice.bottom
-    return [e for e, v in zip(value.space.entities, value.values) if v == bottom]
-
-
 def build_edg(program: Program, fw: FrameworkInstance, *,
               cfg: ControlFlowGraph | None = None,
               weights: WeightTable | None = None,
@@ -141,12 +134,13 @@ def build_edg(program: Program, fw: FrameworkInstance, *,
         # Weights follow the analysis direction.
         forward = fw.direction == FORWARD
         arriving = renamed.in_values if forward else renamed.out_values
+        instances, bottom = renamed.space.entities, renamed.space.lattice.bottom
         for j in cfg.nodes:
             computed, read = sorted(fw.dfpmod[j]), fw.dfpuse[j]
             if not computed or not read:
                 continue
-            for inst in _at_bottom(arriving[j]):
-                if inst.var not in read:
+            for inst, value in zip(instances, arriving[j]):
+                if value != bottom or inst.var not in read:
                     continue
                 src, dst = (inst.stmt, j) if forward else (j, inst.stmt)
                 w = weights.weight(src, dst)
@@ -477,30 +471,3 @@ def degree_of_dependence(edg: EntityDependenceGraph, h_hat: int, *,
         return 0
     return max(delta_vector(edg, edg.entry_nodes, h_hat, max_steps=max_steps).values())
 
-
-# ---------------------------------------------------------------------------
-# trace check for monotonic entity dependence
-
-
-def check_monotonic_entity_dependence(edg: EntityDependenceGraph,
-                                      trace: Iterable[TraceRecord],
-                                      lattice: ComponentLattice) -> bool:
-    """Verify ht(new value) >= ht(operand value) on every EDG-edge transition.
-
-    Only changed, non-top computations carry information, and only
-    operands that feed the changed instance through an EDG edge are
-    constrained.
-    """
-    influences: dict[tuple[Hashable, int], set[Hashable]] = {}
-    for edge in edg.edges:
-        influences.setdefault((edge.dst.entity, edge.dst.stmt), set()).add(edge.src.entity)
-
-    for record in trace:
-        sources = influences.get((record.entity, record.node))
-        if not sources:
-            continue
-        new_ht = lattice.ht(record.new)
-        for operand, value in record.operands:
-            if operand in sources and new_ht < lattice.ht(value):
-                return False
-    return True

@@ -2,6 +2,9 @@
 
 A framework instance couples a component lattice (one small lattice
 per entity) with per-node transfer functions over the product value.
+A product value is a plain tuple with one component per entity, in
+``EntitySpace.entities`` order; ``EntitySpace.index`` maps an entity
+to its position and ``EntitySpace.meet`` is the componentwise meet.
 Two solvers are provided:
 
 * ``round_robin_solve`` sweeps all nodes in a fixed order until a full
@@ -15,15 +18,14 @@ value changes.  ``iterations`` (the measured I) leaves that final
 verification pass out, which reproduces the fixture iteration counts
 exactly; ``passes_executed`` counts it.
 
-All values are initialized to the top element; boundary values are
-applied at the entry node (forward) or at exit nodes (backward).
-Solvers are single-threaded per call; instances and results are
-immutable and may be shared.
+Every program point starts at top, the identity of every meet, the
+entry node (forward) and the exit nodes (backward) included.  Solvers
+are single-threaded per call; instances and results are immutable and
+may be shared.
 """
 
 from __future__ import annotations
 
-import random
 from collections import deque
 from dataclasses import dataclass
 from functools import reduce
@@ -33,6 +35,7 @@ from .ir import ControlFlowGraph
 from .cfg_metrics import FORWARD, traversal_order
 
 Entity = Hashable
+Value = tuple  # one component per entity, in EntitySpace.entities order
 
 
 @dataclass(frozen=True)
@@ -43,93 +46,33 @@ class ComponentLattice:
     to v, so ht(top) = 0 and ht(bottom) = height.
     """
 
-    name: str
     top: Any
     bottom: Any
     meet: Callable[[Any, Any], Any]
     ht: Callable[[Any], int]
     height: int
-    sample: Callable[[random.Random], Any]
-    fmt: Callable[[Any], str] = repr
-
-    def leq(self, a: Any, b: Any) -> bool:
-        return self.meet(a, b) == a
 
 
 class EntitySpace:
     """Ordered entity universe plus its shared component lattice."""
 
-    __slots__ = ("entities", "lattice", "index", "_top")
+    __slots__ = ("entities", "lattice", "index", "top")
 
     def __init__(self, entities: tuple[Entity, ...], lattice: ComponentLattice):
         self.entities = entities
         self.lattice = lattice
         self.index = {e: i for i, e in enumerate(entities)}
-        self._top: ProductValue | None = None
+        self.top: Value = (lattice.top,) * len(entities)
 
     def __len__(self) -> int:
         return len(self.entities)
 
-    def top(self) -> "ProductValue":
-        if self._top is None:
-            self._top = ProductValue(self, (self.lattice.top,) * len(self.entities))
-        return self._top
-
-    def value(self, mapping: Mapping[Entity, Any]) -> "ProductValue":
-        missing = set(self.entities) - set(mapping)
-        extra = set(mapping) - set(self.entities)
-        if missing or extra:
-            raise ValueError(f"entity-set mismatch: missing={missing}, extra={extra}")
-        return ProductValue(self, tuple(mapping[e] for e in self.entities))
-
-
-class ProductValue:
-    """Immutable per-entity vector over an EntitySpace."""
-
-    __slots__ = ("space", "values")
-
-    def __init__(self, space: EntitySpace, values: tuple[Any, ...]):
-        if len(values) != len(space.entities):
-            raise ValueError("value width does not match entity count")
-        self.space = space
-        self.values = values
-
-    def __getitem__(self, entity: Entity) -> Any:
-        return self.values[self.space.index[entity]]
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, ProductValue)
-                and self.space is other.space
-                and self.values == other.values)
-
-    def __hash__(self) -> int:
-        return hash(self.values)
-
-    def replacing(self, updates: Mapping[Entity, Any]) -> "ProductValue":
-        vals = list(self.values)
-        for entity, value in updates.items():
-            vals[self.space.index[entity]] = value
-        return ProductValue(self.space, tuple(vals))
-
-    def leq(self, other: "ProductValue") -> bool:
-        return meet_product(self, other) == self
-
-    def __repr__(self) -> str:
-        lat = self.space.lattice
-        inner = ", ".join(f"{e}: {lat.fmt(v)}"
-                          for e, v in zip(self.space.entities, self.values))
-        return "{" + inner + "}"
-
-
-def meet_product(a: ProductValue, b: ProductValue) -> ProductValue:
-    """Componentwise meet; both operands must share the entity space."""
-    if a.space is not b.space:
-        raise ValueError("entity-set mismatch between product values")
-    if a.values == b.values:
-        return a
-    meet = a.space.lattice.meet
-    return ProductValue(a.space, tuple(
-        x if x is y else meet(x, y) for x, y in zip(a.values, b.values)))
+    def meet(self, a: Value, b: Value) -> Value:
+        """Componentwise meet of two values of this space."""
+        if a == b:
+            return a
+        meet = self.lattice.meet
+        return tuple(x if x is y else meet(x, y) for x, y in zip(a, b))
 
 
 def product_height(component_height: int, entity_count: int) -> int:
@@ -154,11 +97,10 @@ class FrameworkInstance:
     kind: str
     direction: str
     space: EntitySpace
-    transfers: dict[int, Callable[[ProductValue], ProductValue]]
+    transfers: dict[int, Callable[[Value], Value]]
     dfpmod: dict[int, frozenset[Entity]]
     dfpuse: dict[int, frozenset[Entity]]
     independent_sources: dict[int, frozenset[Entity]]
-    boundary: ProductValue
 
     def __post_init__(self) -> None:
         declared = set(self.space.entities)
@@ -194,12 +136,14 @@ class TraceRecord:
 
 @dataclass(frozen=True)
 class SolveResult:
-    in_values: dict[int, ProductValue]
-    out_values: dict[int, ProductValue]
+    """A fixed point: IN/OUT values per node, indexed through ``space``."""
+
+    space: EntitySpace
+    in_values: dict[int, Value]
+    out_values: dict[int, Value]
     iterations: int
     passes_executed: int
     trace: tuple[TraceRecord, ...]
-    visits: int | None = None
 
 
 class DivergenceError(RuntimeError):
@@ -215,18 +159,17 @@ class _DirectionView:
     """One framework's direction over one CFG, so each solver has one loop.
 
     A node's "before" value is the meet of its ``inputs``' "after"
-    values (plus the boundary value at ``boundary_nodes``), and its
-    "after" value is the transfer of its "before" value.  Forward,
-    before/after are IN/OUT; backward, they are OUT/IN.
+    values (top when it has none), and its "after" value is the
+    transfer of its "before" value.  Forward, before/after are IN/OUT;
+    backward, they are OUT/IN.
     """
 
     forward: bool
     order: tuple[int, ...]
     inputs: Mapping[int, tuple[int, ...]]
     outputs: Mapping[int, tuple[int, ...]]
-    boundary_nodes: frozenset[int]
 
-    def in_out(self, before: dict[int, ProductValue], after: dict[int, ProductValue]):
+    def in_out(self, before: dict[int, Value], after: dict[int, Value]):
         return (before, after) if self.forward else (after, before)
 
 
@@ -234,9 +177,8 @@ def _direction_view(fw: FrameworkInstance, cfg: ControlFlowGraph) -> _DirectionV
     # traversal_order is looked up at solve time, so callers may swap it.
     order = traversal_order(cfg, fw.direction)
     if fw.direction == FORWARD:
-        return _DirectionView(True, order, cfg.predecessors, cfg.successors,
-                              frozenset((cfg.entry,)))
-    return _DirectionView(False, order, cfg.successors, cfg.predecessors, cfg.exits)
+        return _DirectionView(True, order, cfg.predecessors, cfg.successors)
+    return _DirectionView(False, order, cfg.successors, cfg.predecessors)
 
 
 def round_robin_solve(fw: FrameworkInstance, cfg: ControlFlowGraph, *,
@@ -249,9 +191,9 @@ def round_robin_solve(fw: FrameworkInstance, cfg: ControlFlowGraph, *,
     ``passes_executed``; ``iterations`` leaves it out (at least 1).
     """
     view = _direction_view(fw, cfg)
-    top = fw.space.top()
-    before: dict[int, ProductValue] = {n: top for n in cfg.nodes}
-    after: dict[int, ProductValue] = {n: top for n in cfg.nodes}
+    top = fw.space.top
+    before: dict[int, Value] = {n: top for n in cfg.nodes}
+    after: dict[int, Value] = {n: top for n in cfg.nodes}
     trace: list[TraceRecord] = []
     budget = _pass_budget(fw, cfg)
 
@@ -266,7 +208,7 @@ def round_robin_solve(fw: FrameworkInstance, cfg: ControlFlowGraph, *,
         for node in view.order:
             # A pass counts as changing when any program-point value
             # moves, merged inputs included, not only transfer outputs.
-            merged = _merge(fw, view, node, after)
+            merged = _merge(fw.space, view.inputs[node], after)
             if merged != before[node]:
                 changed = True
                 before[node] = merged
@@ -281,29 +223,28 @@ def round_robin_solve(fw: FrameworkInstance, cfg: ControlFlowGraph, *,
             break
 
     in_vals, out_vals = view.in_out(before, after)
-    return SolveResult(in_values=in_vals, out_values=out_vals,
+    return SolveResult(space=fw.space, in_values=in_vals, out_values=out_vals,
                        iterations=max(1, passes - 1), passes_executed=passes,
                        trace=tuple(trace))
 
 
-def _merge(fw: FrameworkInstance, view: _DirectionView, node: int,
-           after: dict[int, ProductValue]) -> ProductValue:
-    parts = [after[m] for m in view.inputs[node]]
-    if node in view.boundary_nodes:
-        parts.append(fw.boundary)
-    return reduce(meet_product, parts) if parts else fw.space.top()
+def _merge(space: EntitySpace, inputs: tuple[int, ...],
+           after: dict[int, Value]) -> Value:
+    if not inputs:
+        return space.top
+    return reduce(space.meet, [after[m] for m in inputs])
 
 
 def _record_changes(trace: list[TraceRecord], pass_no: int, node: int,
-                    fw: FrameworkInstance, old: ProductValue,
-                    new: ProductValue, inputs: ProductValue) -> None:
+                    fw: FrameworkInstance, old: Value,
+                    new: Value, inputs: Value) -> None:
+    index = fw.space.index
     uses = fw.dfpuse.get(node, frozenset())
-    operands = tuple(sorted(((u, inputs[u]) for u in uses),
+    operands = tuple(sorted(((u, inputs[index[u]]) for u in uses),
                             key=lambda item: str(item[0])))
-    for idx, entity in enumerate(fw.space.entities):
-        if old.values[idx] != new.values[idx]:
-            trace.append(TraceRecord(pass_no, node, entity,
-                                     old.values[idx], new.values[idx], operands))
+    for entity, was, now in zip(fw.space.entities, old, new):
+        if was != now:
+            trace.append(TraceRecord(pass_no, node, entity, was, now, operands))
 
 
 def worklist_solve(fw: FrameworkInstance, cfg: ControlFlowGraph) -> SolveResult:
@@ -313,9 +254,9 @@ def worklist_solve(fw: FrameworkInstance, cfg: ControlFlowGraph) -> SolveResult:
     comparable to round-robin pass counts.
     """
     view = _direction_view(fw, cfg)
-    top = fw.space.top()
-    before: dict[int, ProductValue] = {n: top for n in cfg.nodes}
-    after: dict[int, ProductValue] = {n: top for n in cfg.nodes}
+    top = fw.space.top
+    before: dict[int, Value] = {n: top for n in cfg.nodes}
+    after: dict[int, Value] = {n: top for n in cfg.nodes}
     pending = deque(view.order)
     queued = set(pending)
     visits = 0
@@ -329,7 +270,7 @@ def worklist_solve(fw: FrameworkInstance, cfg: ControlFlowGraph) -> SolveResult:
                 "check transfer monotonicity")
         node = pending.popleft()
         queued.discard(node)
-        merged = _merge(fw, view, node, after)
+        merged = _merge(fw.space, view.inputs[node], after)
         before[node] = merged
         new = fw.transfers[node](merged)
         if new != after[node]:
@@ -340,29 +281,6 @@ def worklist_solve(fw: FrameworkInstance, cfg: ControlFlowGraph) -> SolveResult:
                     queued.add(nxt)
 
     in_vals, out_vals = view.in_out(before, after)
-    return SolveResult(in_values=in_vals, out_values=out_vals,
-                       iterations=max(1, visits), passes_executed=0,
-                       trace=(), visits=visits)
+    return SolveResult(space=fw.space, in_values=in_vals, out_values=out_vals,
+                       iterations=max(1, visits), passes_executed=0, trace=())
 
-
-def check_monotonicity(fw: FrameworkInstance, sample_count: int, seed: int) -> bool:
-    """Spot-check x <= y implies f(x) <= f(y) on seeded random ordered pairs.
-
-    Draws ``sample_count`` pairs per node; x is forced below y by
-    meeting y with a second random value.
-    """
-    if sample_count <= 0:
-        raise ValueError("sample_count must be positive")
-    rng = random.Random(seed)
-    space = fw.space
-    sample = space.lattice.sample
-    width = len(space)
-    for node in sorted(fw.transfers):
-        f = fw.transfers[node]
-        for _ in range(sample_count):
-            y = ProductValue(space, tuple(sample(rng) for _ in range(width)))
-            noise = ProductValue(space, tuple(sample(rng) for _ in range(width)))
-            x = meet_product(y, noise)
-            if not f(x).leq(f(y)):
-                return False
-    return True

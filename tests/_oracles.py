@@ -5,12 +5,16 @@ definitions, not by calling into the corresponding dfalab code paths:
 plain exhaustive enumeration for path weights and the degree of
 dependence, set-based strongly-live, renamed reaching-definitions and
 renamed live-uses analyses, a concrete path interpreter, and
-dominator-based reducibility.
+dominator-based reducibility.  The last section holds the two
+monotonicity checkers that only the tests run: transfer monotonicity
+on sampled values and condition 10 on solve traces.
 """
 
 from __future__ import annotations
 
-from dfalab.analyses import DefId, UseId
+import random
+
+from dfalab.analyses import CP_LATTICE, NONCONST, UNDEF, DefId, UseId
 from dfalab.ir import (
     BinAssign,
     ConstAssign,
@@ -346,3 +350,63 @@ def is_reducible(cfg: ControlFlowGraph) -> bool:
             if indeg[nxt] == 0:
                 ready.append(nxt)
     return seen == len(cfg.nodes)
+
+
+# ---------------------------------------------------------------------------
+# monotonicity checkers
+
+
+def sample_component(lattice, rng: random.Random):
+    """A random element of a shipped component lattice."""
+    if lattice is CP_LATTICE:
+        roll = rng.randrange(6)
+        if roll == 0:
+            return UNDEF
+        if roll == 1:
+            return NONCONST
+        return rng.randint(-3, 3)
+    return lattice.top if rng.randrange(2) == 0 else lattice.bottom
+
+
+def check_monotonicity(fw, sample_count: int, seed: int) -> bool:
+    """Spot-check x <= y implies f(x) <= f(y) on seeded random ordered pairs.
+
+    Draws ``sample_count`` pairs per node; x is forced below y by
+    meeting y with a second random value.
+    """
+    if sample_count <= 0:
+        raise ValueError("sample_count must be positive")
+    rng = random.Random(seed)
+    space = fw.space
+    width = len(space)
+    for node in sorted(fw.transfers):
+        f = fw.transfers[node]
+        for _ in range(sample_count):
+            y = tuple(sample_component(space.lattice, rng) for _ in range(width))
+            noise = tuple(sample_component(space.lattice, rng) for _ in range(width))
+            fx = f(space.meet(y, noise))
+            if space.meet(fx, f(y)) != fx:
+                return False
+    return True
+
+
+def check_monotonic_entity_dependence(edg, trace, lattice) -> bool:
+    """Verify ht(new value) >= ht(operand value) on every EDG-edge transition.
+
+    Only changed, non-top computations carry information, and only
+    operands that feed the changed instance through an EDG edge are
+    constrained.
+    """
+    influences: dict[tuple[object, int], set[object]] = {}
+    for edge in edg.edges:
+        influences.setdefault((edge.dst.entity, edge.dst.stmt), set()).add(edge.src.entity)
+
+    for record in trace:
+        sources = influences.get((record.entity, record.node))
+        if not sources:
+            continue
+        new_ht = lattice.ht(record.new)
+        for operand, value in record.operands:
+            if operand in sources and new_ht < lattice.ht(value):
+                return False
+    return True

@@ -15,23 +15,25 @@ import pytest
 from dfalab import (
     build_cfg,
     build_edg,
-    check_monotonic_entity_dependence,
-    classify_back_edges,
     degree_of_dependence,
     delta_vector,
-    depth,
     emit_report,
     make_constant_propagation,
-    make_faint_variables,
-    max_backedge_acyclic_weight,
     round_robin_solve,
     worklist_solve,
 )
+from dfalab.analyses import make_faint_variables
 from dfalab.bounds import ProgramPipeline
+from dfalab.cfg_metrics import classify_back_edges, depth, max_backedge_acyclic_weight
 from dfalab.edg import EntityNode
 from dfalab.generator import GeneratorConfig, generate_corpus
 
-from _oracles import enumerate_degree, enumerate_depth, enumerate_pair_weight
+from _oracles import (
+    check_monotonic_entity_dependence,
+    enumerate_degree,
+    enumerate_depth,
+    enumerate_pair_weight,
+)
 
 CORPUS_CONFIG = GeneratorConfig(seed=42, node_budget=60, variable_count=(4, 8))
 CORPUS_SIZE = 1000

@@ -4,10 +4,7 @@ import pytest
 
 from dfalab import (
     build_cfg,
-    check_monotonicity,
-    make_bitvector_framework,
     make_constant_propagation,
-    make_faint_variables,
     round_robin_solve,
     worklist_solve,
 )
@@ -20,6 +17,8 @@ from dfalab.analyses import (
     UseId,
     cp_transfer,
     fv_transfer,
+    make_bitvector_framework,
+    make_faint_variables,
     program_expressions,
 )
 from dfalab.engine import EntitySpace
@@ -35,45 +34,58 @@ from dfalab.ir import (
     stmt_target,
 )
 
-from _oracles import execute_all_paths, live_uses, reaching_definitions, strongly_live
+from _oracles import (
+    check_monotonicity,
+    execute_all_paths,
+    live_uses,
+    reaching_definitions,
+    sample_component,
+    strongly_live,
+)
 from conftest import chain_program
 
 
-def cp_value(entities, mapping):
-    return EntitySpace(tuple(entities), CP_LATTICE).value(mapping)
+def apply(transfer, lattice, stmt, mapping):
+    """Run `transfer` on the value that `mapping` gives per variable."""
+    space = EntitySpace(tuple(mapping), lattice)
+    out = transfer(stmt, tuple(mapping.values()), space.index)
+    return dict(zip(space.entities, out))
+
+
+def cp(stmt, mapping):
+    return apply(cp_transfer, CP_LATTICE, stmt, mapping)
+
+
+def fv(stmt, mapping):
+    return apply(fv_transfer, FV_LATTICE, stmt, mapping)
 
 
 class TestCpTransfer:
     def test_both_operands_constant(self):
-        value = cp_value(("x", "y", "z"), {"x": UNDEF, "y": 3, "z": 4})
-        out = cp_transfer(BinAssign("x", "y", "+", "z"), value)
+        out = cp(BinAssign("x", "y", "+", "z"), {"x": UNDEF, "y": 3, "z": 4})
         assert out["x"] == 7
 
     def test_nonconst_absorbs(self):
-        value = cp_value(("x", "y"), {"x": UNDEF, "y": NONCONST})
-        out = cp_transfer(BinAssign("x", "y", "+", 2), value)
+        out = cp(BinAssign("x", "y", "+", 2), {"x": UNDEF, "y": NONCONST})
         assert out["x"] is NONCONST
 
     def test_undef_preserved_without_nonconst(self):
-        value = cp_value(("x", "y"), {"x": 1, "y": UNDEF})
-        out = cp_transfer(BinAssign("x", "y", "+", 2), value)
+        out = cp(BinAssign("x", "y", "+", 2), {"x": 1, "y": UNDEF})
         assert out["x"] is UNDEF
 
     def test_const_read_copy_print(self):
-        value = cp_value(("a", "b"), {"a": UNDEF, "b": 9})
-        assert cp_transfer(ConstAssign("a", 5), value)["a"] == 5
-        assert cp_transfer(ReadAssign("a"), value)["a"] is NONCONST
-        assert cp_transfer(CopyAssign("a", "b"), value)["a"] == 9
-        assert cp_transfer(Print("b"), value) == value
-        assert cp_transfer(Skip(), value) == value
+        value = {"a": UNDEF, "b": 9}
+        assert cp(ConstAssign("a", 5), value)["a"] == 5
+        assert cp(ReadAssign("a"), value)["a"] is NONCONST
+        assert cp(CopyAssign("a", "b"), value)["a"] == 9
+        assert cp(Print("b"), value) == value
+        assert cp(Skip(), value) == value
 
     def test_literal_only_binop(self):
-        value = cp_value(("a",), {"a": UNDEF})
-        assert cp_transfer(BinAssign("a", 6, "*", 7), value)["a"] == 42
+        assert cp(BinAssign("a", 6, "*", 7), {"a": UNDEF})["a"] == 42
 
     def test_arithmetic_wraps(self):
-        value = cp_value(("a", "b"), {"a": 2**62, "b": 2**62})
-        out = cp_transfer(BinAssign("a", "a", "+", "b"), value)
+        out = cp(BinAssign("a", "a", "+", "b"), {"a": 2**62, "b": 2**62})
         assert out["a"] == -(2**63)
 
 
@@ -108,31 +120,27 @@ class TestCpFramework:
             for node, env in execute_all_paths(cfg):
                 abstract = solution.in_values[node]
                 for var in program.variables:
-                    claimed = abstract[var]
+                    claimed = abstract[fw.space.index[var]]
                     if isinstance(claimed, int) and env[var] is not None:
                         assert env[var] == claimed, (program.name, node, var)
 
 
 class TestFaintVariables:
     def test_print_forces_liveness(self):
-        value = EntitySpace(("x",), FV_LATTICE).value({"x": FAINT})
-        assert fv_transfer(Print("x"), value)["x"] is NOT_FAINT
+        assert fv(Print("x"), {"x": FAINT})["x"] is NOT_FAINT
 
     def test_assignment_to_faint_target_keeps_operands_faint(self):
-        value = EntitySpace(("x", "y"), FV_LATTICE).value({"x": FAINT, "y": FAINT})
-        out = fv_transfer(BinAssign("x", "y", "+", 2), value)
+        out = fv(BinAssign("x", "y", "+", 2), {"x": FAINT, "y": FAINT})
         assert out["x"] is FAINT
         assert out["y"] is FAINT
 
     def test_live_target_livens_operands(self):
-        value = EntitySpace(("x", "y"), FV_LATTICE).value({"x": NOT_FAINT, "y": FAINT})
-        out = fv_transfer(BinAssign("x", "y", "+", 2), value)
+        out = fv(BinAssign("x", "y", "+", 2), {"x": NOT_FAINT, "y": FAINT})
         assert out["x"] is FAINT
         assert out["y"] is NOT_FAINT
 
     def test_self_referencing_assignment(self):
-        value = EntitySpace(("x",), FV_LATTICE).value({"x": NOT_FAINT})
-        out = fv_transfer(BinAssign("x", "x", "+", 1), value)
+        out = fv(BinAssign("x", "x", "+", 1), {"x": NOT_FAINT})
         assert out["x"] is NOT_FAINT
 
     def test_fig3_shape(self, fig3, fig3_cfg):
@@ -152,7 +160,7 @@ class TestFaintVariables:
         for node, stmt in fig3.nodes.items():
             target = stmt_target(stmt)
             if target is not None:
-                assert solution.out_values[node][target] is NOT_FAINT, node
+                assert solution.out_values[node][fw.space.index[target]] is NOT_FAINT, node
 
     def test_faint_is_complement_of_strongly_live(self, fig3, fig3_swap):
         programs = [fig3, fig3_swap]
@@ -165,9 +173,10 @@ class TestFaintVariables:
             live_in, live_out = strongly_live(cfg)
             for node in cfg.nodes:
                 for var in program.variables:
-                    assert (solution.in_values[node][var] is FAINT) == (
+                    i = fw.space.index[var]
+                    assert (solution.in_values[node][i] is FAINT) == (
                         var not in live_in[node]), (program.name, node, var, "in")
-                    assert (solution.out_values[node][var] is FAINT) == (
+                    assert (solution.out_values[node][i] is FAINT) == (
                         var not in live_out[node]), (program.name, node, var, "out")
 
 
@@ -192,15 +201,15 @@ class TestBitVector:
     def test_fig3_reaching_defs_of_w_at_node7(self, fig3, fig3_cfg):
         fw = make_bitvector_framework(fig3, "reach", fig3_cfg)
         solution = round_robin_solve(fw, fig3_cfg, record_trace=False)
-        reaching = {d for d in fw.entities
-                    if solution.in_values[7][d] is fw.lattice.bottom}
+        reaching = {d for d, v in zip(fw.entities, solution.in_values[7])
+                    if v is fw.lattice.bottom}
         assert {d for d in reaching if d.var == "w"} == {DefId("w", 1), DefId("w", 8)}
 
     def test_fig3_live_uses_of_x_at_exit5(self, fig3, fig3_cfg):
         fw = make_bitvector_framework(fig3, "live", fig3_cfg)
         solution = round_robin_solve(fw, fig3_cfg, record_trace=False)
-        live = {u for u in fw.entities
-                if solution.out_values[5][u] is fw.lattice.bottom}
+        live = {u for u, v in zip(fw.entities, solution.out_values[5])
+                if v is fw.lattice.bottom}
         assert {u for u in live if u.var == "x"} == {UseId("x", 2), UseId("x", 8)}
 
     def test_transfers_idempotent(self, fig3, fig3_cfg):
@@ -210,8 +219,7 @@ class TestBitVector:
             for node in fig3_cfg.nodes:
                 f = fw.transfers[node]
                 for _ in range(25):
-                    x = fw.space.value({e: fw.lattice.sample(rng)
-                                        for e in fw.entities})
+                    x = tuple(sample_component(fw.lattice, rng) for _ in fw.entities)
                     assert f(f(x)) == f(x)
 
     def test_unknown_kind(self, fig3):
@@ -242,8 +250,8 @@ class TestRenamedSetAnalyses:
         solution = worklist_solve(fw, cfg)
         sets = reaching_definitions(cfg)
         for node in cfg.nodes:
-            framework_view = {d for d in fw.entities
-                              if solution.in_values[node][d] is fw.lattice.bottom}
+            framework_view = {d for d, v in zip(fw.entities, solution.in_values[node])
+                              if v is fw.lattice.bottom}
             assert framework_view == set(sets[node])
 
     @pytest.mark.parametrize("seed", range(8))
@@ -254,8 +262,8 @@ class TestRenamedSetAnalyses:
         solution = worklist_solve(fw, cfg)
         sets = live_uses(cfg)
         for node in cfg.nodes:
-            framework_view = {u for u in fw.entities
-                              if solution.out_values[node][u] is fw.lattice.bottom}
+            framework_view = {u for u, v in zip(fw.entities, solution.out_values[node])
+                              if v is fw.lattice.bottom}
             assert framework_view == set(sets[node])
 
     def test_fig3_reaching(self, fig3_cfg):

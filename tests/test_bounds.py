@@ -4,17 +4,14 @@ import pytest
 
 from dfalab import (
     ANALYSIS_KINDS,
-    CSV_HEADER,
     GeneratorConfig,
     build_edg,
-    edg_bound,
     emit_report,
     generate_corpus,
     make_record,
-    simplistic_bound,
 )
 from dfalab import bounds
-from dfalab.bounds import ProgramPipeline
+from dfalab.bounds import CSV_HEADER, ProgramPipeline, edg_bound, simplistic_bound
 
 
 @pytest.mark.parametrize("d,H,expected", [(3, 8, 25), (3, 4, 13), (0, 17, 1), (0, 0, 1)])

@@ -1,9 +1,8 @@
 import pytest
 
-from dfalab import (
-    SearchBudgetExceeded,
+from dfalab import SearchBudgetExceeded, build_cfg
+from dfalab.cfg_metrics import (
     WeightTable,
-    build_cfg,
     classify_back_edges,
     depth,
     max_backedge_acyclic_weight,

@@ -2,8 +2,19 @@ import json
 
 import pytest
 
-from dfalab import CSV_HEADER, fixtures
-from dfalab.cli import EXIT_OK, EXIT_USAGE, main
+from dfalab import SearchBudgetExceeded, bounds, fixtures
+from dfalab.bounds import CSV_HEADER
+from dfalab.cli import EXIT_BOUND_VIOLATION, EXIT_OK, EXIT_USAGE, main
+
+SELF_LOOP = """program loop
+vars x
+node 1  x = 0
+node 2  x = x + 1
+node 3  print x
+edge 1 -> 2
+edge 2 -> 2
+edge 2 -> 3
+"""
 
 
 @pytest.fixture
@@ -83,6 +94,34 @@ class TestReport:
         out = tmp_path / "missing_dir" / "x.csv"
         assert main(["report", str(fig3_file), "--out", str(out)]) == EXIT_USAGE
         assert capsys.readouterr().err == f"dfalab: {out}: No such file or directory\n"
+
+    def test_failing_analysis_keeps_the_others(self, fig3_file, capsys, monkeypatch):
+        message = "degree-of-dependence enumeration exceeded its step budget"
+        real = bounds.degree_of_dependence
+
+        def budgeted(edg, h_hat, **kwargs):
+            if edg.kind == "faint":
+                raise SearchBudgetExceeded(message)
+            return real(edg, h_hat, **kwargs)
+
+        monkeypatch.setattr(bounds, "degree_of_dependence", budgeted)
+        code = main(["report", str(fig3_file), "--analysis", "faint",
+                     "--analysis", "avail", "--analysis", "cp"])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert [r["analysis"] for r in rows(captured.out)] == ["avail", "cp"]
+        assert captured.err == f"dfalab: fig3 faint: {message}\n"
+
+    @pytest.mark.parametrize("command", ["report", "corpus"])
+    def test_self_loop_warns(self, tmp_path, capsys, command):
+        (tmp_path / "loop.prog").write_text(SELF_LOOP, encoding="utf-8")
+        target = tmp_path / "loop.prog" if command == "report" else tmp_path
+        code = main([command, str(target), "--analysis", "cp",
+                     "--out", str(tmp_path / "out")])
+        assert code == EXIT_BOUND_VIOLATION
+        assert capsys.readouterr().err == (
+            f"dfalab: warning: {tmp_path / 'loop.prog'}: node 2 has a self-loop; "
+            "the pass bounds do not cover it\n")
 
 
 class TestGenerate:

@@ -4,21 +4,22 @@ import pytest
 
 from dfalab import (
     SearchBudgetExceeded,
-    WeightTable,
     build_cfg,
     build_edg,
-    check_monotonic_entity_dependence,
     degree_of_dependence,
     delta_vector,
-    make_bitvector_framework,
     make_constant_propagation,
-    make_faint_variables,
-    max_backedge_acyclic_weight,
-    path_delta,
     round_robin_solve,
 )
 from dfalab import edg as edg_module
-from dfalab.analyses import CP_LATTICE, NONCONST, UNDEF
+from dfalab.analyses import (
+    CP_LATTICE,
+    NONCONST,
+    UNDEF,
+    make_bitvector_framework,
+    make_faint_variables,
+)
+from dfalab.cfg_metrics import WeightTable, max_backedge_acyclic_weight
 from dfalab.edg import (
     EdgEdge,
     EntityDependenceGraph,
@@ -27,12 +28,13 @@ from dfalab.edg import (
     PathCycle,
     PathSegment,
     StructuredPath,
+    path_delta,
 )
 from dfalab.engine import TraceRecord
 from dfalab.generator import GeneratorConfig, generate_program
 from dfalab.ir import CopyAssign
 
-from _oracles import enumerate_degree, enumerate_delta_vector
+from _oracles import check_monotonic_entity_dependence, enumerate_degree, enumerate_delta_vector
 from conftest import chain_program
 
 

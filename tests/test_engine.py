@@ -5,18 +5,23 @@ from hypothesis import strategies as st
 from dfalab import (
     DivergenceError,
     build_cfg,
-    check_monotonicity,
     make_constant_propagation,
-    make_faint_variables,
-    meet_product,
-    product_height,
     round_robin_solve,
     worklist_solve,
 )
-from dfalab.analyses import CP_LATTICE, FAINT, FV_LATTICE, NONCONST, NOT_FAINT, UNDEF
-from dfalab.engine import EntitySpace, FrameworkInstance, ProductValue
+from dfalab.analyses import (
+    CP_LATTICE,
+    FAINT,
+    FV_LATTICE,
+    NONCONST,
+    NOT_FAINT,
+    UNDEF,
+    make_faint_variables,
+)
+from dfalab.engine import EntitySpace, FrameworkInstance, product_height
 from dfalab.ir import ConstAssign, Print, Skip
 
+from _oracles import check_monotonicity
 from conftest import chain_program, make_program
 
 cp_values = st.one_of(st.just(UNDEF), st.just(NONCONST), st.integers(-5, 5))
@@ -52,31 +57,21 @@ class TestComponentLattices:
 class TestProductValues:
     def test_meet_cp_examples(self):
         space = EntitySpace(("w", "x"), CP_LATTICE)
-        a = space.value({"w": UNDEF, "x": 3})
-        b = space.value({"w": 2, "x": 3})
-        assert meet_product(a, b) == space.value({"w": 2, "x": 3})
+        assert space.meet((UNDEF, 3), (2, 3)) == (2, 3)
 
     def test_meet_conflicting_constants(self):
         space = EntitySpace(("x",), CP_LATTICE)
-        merged = meet_product(space.value({"x": 3}), space.value({"x": 5}))
-        assert merged["x"] is NONCONST
+        assert space.meet((3,), (5,))[space.index["x"]] is NONCONST
 
     def test_meet_faint(self):
         space = EntitySpace(("x",), FV_LATTICE)
-        merged = meet_product(space.value({"x": FAINT}),
-                              space.value({"x": NOT_FAINT}))
-        assert merged["x"] is NOT_FAINT
+        assert space.meet((FAINT,), (NOT_FAINT,))[space.index["x"]] is NOT_FAINT
 
-    def test_entity_set_mismatch(self):
-        a = EntitySpace(("x",), CP_LATTICE)
-        b = EntitySpace(("y",), CP_LATTICE)
-        with pytest.raises(ValueError, match="mismatch"):
-            meet_product(a.top(), b.top())
-
-    def test_value_requires_all_entities(self):
-        space = EntitySpace(("x", "y"), CP_LATTICE)
-        with pytest.raises(ValueError):
-            space.value({"x": 1})
+    @given(w=cp_values, x=cp_values)
+    def test_top_is_the_meet_identity(self, w, x):
+        space = EntitySpace(("w", "x"), CP_LATTICE)
+        assert space.top == (UNDEF, UNDEF)
+        assert space.meet(space.top, (w, x)) == (w, x) == space.meet((w, x), space.top)
 
 
 @pytest.mark.parametrize("h_hat,xi,expected", [(2, 4, 8), (1, 4, 4), (1, 1, 1), (0, 7, 0)])
@@ -131,7 +126,7 @@ class TestFixedPoints:
         wl = worklist_solve(fw, cfg)
         assert rr.iterations == 1
         assert rr.out_values == wl.out_values
-        assert rr.out_values[2]["a"] == 7
+        assert rr.out_values[2][fw.space.index["a"]] == 7
 
     def test_all_skip_program_counts_one_pass(self):
         program = chain_program([Skip(), Skip()], name="noop")
@@ -154,8 +149,9 @@ class TestFixedPoints:
         cfg = build_cfg(program)
         fw = make_faint_variables(program, cfg)
         result = round_robin_solve(fw, cfg)
-        assert result.out_values[2]["a"] is FAINT
-        assert result.in_values[1]["a"] is NOT_FAINT
+        a = fw.space.index["a"]
+        assert result.out_values[2][a] is FAINT
+        assert result.in_values[1][a] is NOT_FAINT
 
 
 class TestTraces:
@@ -167,7 +163,7 @@ class TestTraces:
             assert result.trace
             for record in result.trace:
                 assert lattice.ht(record.new) >= lattice.ht(record.old)
-                assert lattice.leq(record.new, record.old)
+                assert lattice.meet(record.new, record.old) == record.new
 
     def test_operands_recorded(self, fig3, fig3_cfg):
         fw = make_constant_propagation(fig3, fig3_cfg)
@@ -185,17 +181,14 @@ class TestMonotonicity:
     def _broken_framework(self):
         space = EntitySpace(("x",), CP_LATTICE)
 
-        def broken(value: ProductValue) -> ProductValue:
+        def broken(value: tuple) -> tuple:
             # Maps bottom back to top: not monotonic.
-            if value["x"] is NONCONST:
-                return value.replacing({"x": UNDEF})
-            return value.replacing({"x": NONCONST})
+            return (UNDEF,) if value[0] is NONCONST else (NONCONST,)
 
         return FrameworkInstance(
             kind="broken", direction="forward", space=space,
             transfers={1: broken}, dfpmod={1: frozenset(("x",))},
-            dfpuse={1: frozenset()}, independent_sources={1: frozenset()},
-            boundary=space.top())
+            dfpuse={1: frozenset()}, independent_sources={1: frozenset()})
 
     def test_broken_transfer_detected(self):
         fw = self._broken_framework()
@@ -212,16 +205,14 @@ def test_divergence_guard_fires():
     cfg = build_cfg(program)
     space = EntitySpace(("x",), CP_LATTICE)
 
-    def flip(value: ProductValue) -> ProductValue:
-        nxt = {UNDEF: 1, 1: 2, 2: UNDEF}.get(value["x"], 1)
-        return value.replacing({"x": nxt})
+    def flip(value: tuple) -> tuple:
+        return ({UNDEF: 1, 1: 2, 2: UNDEF}.get(value[0], 1),)
 
     fw = FrameworkInstance(
         kind="oscillator", direction="forward", space=space,
         transfers={1: flip, 2: flip},
         dfpmod={1: frozenset(("x",)), 2: frozenset(("x",))},
         dfpuse={1: frozenset(), 2: frozenset()},
-        independent_sources={1: frozenset(), 2: frozenset()},
-        boundary=space.top())
+        independent_sources={1: frozenset(), 2: frozenset()})
     with pytest.raises(DivergenceError):
         round_robin_solve(fw, cfg, record_trace=False)

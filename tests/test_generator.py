@@ -1,6 +1,7 @@
 import pytest
 
-from dfalab import build_cfg, classify_back_edges, serialize_program, validate_program
+from dfalab import build_cfg, serialize_program, validate_program
+from dfalab.cfg_metrics import classify_back_edges
 from dfalab.generator import GeneratorConfig, generate_corpus, generate_program
 
 from _oracles import dominators, is_reducible
