@@ -3,23 +3,28 @@
 One depth-first search from the entry node, visiting successors in
 ascending node-id order, gives both the back edges (edges whose
 target is on the DFS stack) and the round-robin visit order (its
-reverse postorder).  For reducible graphs the back edges are the usual
-retreating edges; for irreducible graphs the ascending-id rule pins a
-deterministic answer.  The d-based pass bounds assume this pairing:
-a pass in depth-first order crosses only the counted back edges
-against the visit order (Kam & Ullman 1976).
+reverse postorder).  It runs once per CFG object.  For reducible
+graphs the back edges are the usual retreating edges; for irreducible
+graphs the ascending-id rule pins a deterministic answer.  The d-based
+pass bounds assume this pairing: a pass in depth-first order crosses
+only the counted back edges against the visit order (Kam & Ullman
+1976).
 
 The depth d is the maximum number of back edges on any node-simple
 path.  Pairwise weights ask the same question for paths between two
-fixed statements.  Both are computed by exact backtracking with
-pruning; a node cap of 64 rejects inputs where exactness is no longer
-desk-scale, and a budget of ten million steps bounds each depth or
-pairwise-weight computation.
+fixed statements.  Both use one exact backtracking search over the
+indices of ``cfg.nodes`` with int-bitmask node sets; a pairwise search
+enters only nodes reachable from its source that reach its target
+(closures built once per CFG) and stops at the target.  A node cap of
+64 rejects inputs where exactness is no longer desk-scale, and a budget
+of ten million steps bounds each depth or pairwise-weight computation.
 """
 
 from __future__ import annotations
 
-from .ir import ControlFlowGraph, reachable
+from functools import cached_property
+
+from .ir import ControlFlowGraph
 
 DEFAULT_NODE_CAP = 64
 DEFAULT_STEP_CAP = 10_000_000
@@ -49,7 +54,13 @@ class StepBudget:
 
 def depth_first_search(cfg: ControlFlowGraph) -> tuple[frozenset[tuple[int, int]],
                                                       tuple[int, ...]]:
-    """Back edges and reverse postorder of the ascending-id DFS from entry."""
+    """Back edges and reverse postorder of the ascending-id DFS from entry, memoised."""
+    if "_dfs" not in cfg.__dict__:
+        cfg.__dict__["_dfs"] = _dfs(cfg)
+    return cfg.__dict__["_dfs"]
+
+
+def _dfs(cfg: ControlFlowGraph) -> tuple[frozenset[tuple[int, int]], tuple[int, ...]]:
     visited: set[int] = set()
     on_stack: set[int] = set()
     back: set[tuple[int, int]] = set()
@@ -102,119 +113,124 @@ def _check_node_cap(cfg: ControlFlowGraph) -> None:
             f"graph has {len(cfg.nodes)} nodes, exceeding the cap of {DEFAULT_NODE_CAP}")
 
 
-class _PathSearch:
-    """Backtracking search for the maximum back-edge count over simple paths."""
-
-    def __init__(self, cfg: ControlFlowGraph,
-                 back_edges: frozenset[tuple[int, int]]):
-        self.succ = cfg.successors
-        self.back_edges = back_edges
-        # Back edges grouped by source node; used both for weight
-        # accounting and for the remaining-potential prune.
-        self.back_by_source: dict[int, int] = {}
-        for src, _ in back_edges:
-            self.back_by_source[src] = self.back_by_source.get(src, 0) + 1
-        self.budget = StepBudget(DEFAULT_STEP_CAP,
-                                 f"path search exceeded {DEFAULT_STEP_CAP} steps")
-        self.best = -1
-        self.target: int | None = None
-
-    def run(self, start: int, target: int | None, seed_best: int) -> int:
-        self.target = target
-        self.best = seed_best
-        remaining = sum(self.back_by_source.values())
-        if start in self.back_by_source:
-            remaining -= self.back_by_source[start]
-        self._extend(start, {start}, 0, remaining)
-        return self.best
-
-    def _extend(self, node: int, visited: set[int], weight: int, remaining: int) -> None:
-        self.budget.tick()
-        if self.target is None or node == self.target:
-            if weight > self.best:
-                self.best = weight
-        # Upper bound: every unvisited back-edge source could still
-        # contribute, plus back edges leaving the current node.
-        potential = weight + remaining + self.back_by_source.get(node, 0)
-        if potential <= self.best:
-            return
-        for nxt in self.succ[node]:
-            if nxt in visited:
-                continue
-            step = 1 if (node, nxt) in self.back_edges else 0
-            visited.add(nxt)
-            self._extend(nxt, visited, weight + step,
-                         remaining - self.back_by_source.get(nxt, 0))
-            visited.discard(nxt)
+def _closure(neighbours: list[list[int]], order: list[int]) -> list[int]:
+    """Mask of the nodes reachable from each node along `neighbours`, itself included."""
+    masks = [1 << i for i in range(len(neighbours))]
+    while True:
+        before = masks[:]
+        for i in order:
+            for j in neighbours[i]:
+                masks[i] |= masks[j]
+        if masks == before:
+            return masks
 
 
-def depth(cfg: ControlFlowGraph, *,
-          back_edges: frozenset[tuple[int, int]] | None = None) -> int:
-    """Maximum number of back edges on any node-simple path."""
-    _check_node_cap(cfg)
-    if back_edges is None:
-        back_edges = classify_back_edges(cfg)
-    if not back_edges:
-        return 0
-    search = _PathSearch(cfg, back_edges)
+def _search(succ: list[list[tuple[int, int, int]]], counts: list[int],
+            starts: list[int], target: int | None, allowed: int) -> int:
+    """Most back edges on a node-simple path from one of `starts` inside `allowed`.
+
+    The path ends at `target`, or anywhere when it is None.  `counts[i]`
+    back edges leave node i; the unvisited nodes' counts bound the gain.
+    """
+    budget = StepBudget(DEFAULT_STEP_CAP, f"path search exceeded {DEFAULT_STEP_CAP} steps")
+    total = sum(counts)
     best = 0
-    # A maximum-weight path can be trimmed to start at a back-edge
-    # source, so only those starting points need searching.
-    for start in sorted({src for src, _ in back_edges}):
-        best = search.run(start, None, best)
+
+    def extend(node: int, free: int, weight: int, remaining: int) -> None:
+        nonlocal best
+        budget.tick()
+        if target is None or node == target:
+            if weight > best:
+                best = weight
+            if node == target:
+                return
+        # Upper bound: every back edge leaving an unvisited node or this one.
+        if weight + remaining + counts[node] <= best:
+            return
+        for nxt, bit, back in succ[node]:
+            if free & bit:
+                extend(nxt, free ^ bit, weight + back, remaining - counts[nxt])
+
+    for start in starts:
+        extend(start, allowed & ~(1 << start), 0, total - counts[start])
     return best
 
 
-def max_backedge_acyclic_weight(
-        cfg: ControlFlowGraph, frm: int, to: int, *,
-        back_edges: frozenset[tuple[int, int]] | None = None) -> int | None:
+def depth(cfg: ControlFlowGraph, *, table: WeightTable | None = None) -> int:
+    """Maximum number of back edges on any node-simple path."""
+    _check_node_cap(cfg)
+    if table is None:
+        table = WeightTable(cfg)
+    counts = [sum(src == i for src, _ in table.back_pairs) for i in range(len(cfg.nodes))]
+    # A maximum-weight path can be trimmed to start at a back-edge
+    # source, so only those starting points need searching.
+    starts = [i for i, count in enumerate(counts) if count]
+    return _search(table.succ, counts, starts, None, (1 << len(cfg.nodes)) - 1)
+
+
+def max_backedge_acyclic_weight(cfg: ControlFlowGraph, frm: int, to: int, *,
+                                table: WeightTable | None = None) -> int | None:
     """Maximum back-edge count over node-simple paths from `frm` to `to`.
 
     Returns 0 for frm == to (the empty path) and None when `to` is
-    unreachable from `frm`.
+    unreachable from `frm`.  `table` shares the CFG's facts across calls.
     """
     if frm not in cfg.successors or to not in cfg.successors:
         raise KeyError(f"unknown node in pair ({frm}, {to})")
     _check_node_cap(cfg)
     if frm == to:
         return 0
-    reach = reachable(frm, cfg.successors)
-    if to not in reach:
+    if table is None:
+        table = WeightTable(cfg)
+    source, target = table.index[frm], table.index[to]
+    reach_of, co_reach_of = table.closures
+    reach, co_reach = reach_of[source], co_reach_of[target]
+    if not reach >> target & 1:
         return None
-    if back_edges is None:
-        back_edges = classify_back_edges(cfg)
     # A back edge can only appear on a frm->to path if its source is
     # reachable from frm and its target reaches to.
-    co_reach = reachable(to, cfg.predecessors)
-    candidates = frozenset(
-        (s, t) for (s, t) in back_edges if s in reach and t in co_reach)
-    if not candidates:
+    counts = [0] * len(cfg.nodes)
+    for src, dst in table.back_pairs:
+        if reach >> src & 1 and co_reach >> dst & 1:
+            counts[src] += 1
+    if not any(counts):
         return 0
-    return _PathSearch(cfg, candidates).run(frm, to, -1)
+    return _search(table.succ, counts, [source], target, reach & co_reach)
 
 
 class WeightTable:
-    """Memoizing wrapper for pairwise weights on one CFG.
+    """Path facts of one CFG, and its pairwise weights memoised.
 
-    Shared by EDG construction and reporting so repeated statement
-    pairs are searched once.
+    Node ``cfg.nodes[i]`` is index i, and ``succ[i]`` holds its
+    successors as ``(index, bit, 1 if back edge else 0)``.  Shared by
+    EDG construction and reporting, so each pair is searched once.
     """
 
     def __init__(self, cfg: ControlFlowGraph):
         self.cfg = cfg
         self.back_edges = classify_back_edges(cfg)
+        self.index = index = {node: i for i, node in enumerate(cfg.nodes)}
+        self.succ = [[(index[dst], 1 << index[dst], int((src, dst) in self.back_edges))
+                      for dst in cfg.successors[src]] for src in cfg.nodes]
+        self.back_pairs = sorted((index[src], index[dst]) for src, dst in self.back_edges)
         self._cache: dict[tuple[int, int], int | None] = {}
-        self._depth: int | None = None
+
+    @cached_property
+    def closures(self) -> tuple[list[int], list[int]]:
+        """Reach and co-reach masks of every node, each from one fixpoint."""
+        # Every node is on the DFS; (reverse) postorder sweeps settle fast.
+        rpo = [self.index[node] for node in depth_first_search(self.cfg)[1]]
+        preds = [[self.index[p] for p in self.cfg.predecessors[node]]
+                 for node in self.cfg.nodes]
+        return (_closure([[j for j, _, _ in out] for out in self.succ], rpo[::-1]),
+                _closure(preds, rpo))
 
     def weight(self, frm: int, to: int) -> int | None:
         key = (frm, to)
         if key not in self._cache:
-            self._cache[key] = max_backedge_acyclic_weight(
-                self.cfg, frm, to, back_edges=self.back_edges)
+            self._cache[key] = max_backedge_acyclic_weight(self.cfg, frm, to, table=self)
         return self._cache[key]
 
-    @property
+    @cached_property
     def depth(self) -> int:
-        if self._depth is None:
-            self._depth = depth(self.cfg, back_edges=self.back_edges)
-        return self._depth
+        return depth(self.cfg, table=self)

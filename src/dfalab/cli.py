@@ -21,11 +21,12 @@ import statistics
 import sys
 from collections import Counter
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from .analyses import ANALYSIS_KINDS
 from .bounds import BoundsRecord, ProgramPipeline, emit_report
 from .generator import GeneratorConfig, generate_corpus
-from .ir import ParseError, parse_program, serialize_program, validate_program
+from .ir import InvalidProgramError, ParseError, parse_program, serialize_program
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -52,38 +53,40 @@ def _print_errors(errors: list[str]) -> None:
         print(f"dfalab: {line}", file=sys.stderr)
 
 
-def _load_programs(paths: list[Path], errors: list[str]):
-    programs = []
+def _load_programs(paths: list[Path], errors: list[str]) -> Iterator[ProgramPipeline]:
+    """Pipelines of the valid files, made one at a time; the others go to `errors`."""
     for path in paths:
         try:
             program = parse_program(path.read_text(encoding="utf-8"))
         except (OSError, UnicodeDecodeError, ParseError) as exc:
             errors.append(f"{path}: {exc}")
             continue
-        diags = validate_program(program)
-        if diags:
-            errors.extend(f"{path}: {d}" for d in diags)
+        try:
+            pipeline = ProgramPipeline(program)
+        except InvalidProgramError as exc:
+            errors.extend(f"{path}: {d}" for d in exc.diagnostics)
             continue
         # A self-loop lies on no node-simple path, so neither d nor any
         # edge weight sees the extra passes it can cost.
         for node in sorted({src for src, dst in program.edges if src == dst}):
             print(f"dfalab: warning: {path}: node {node} has a self-loop; "
                   "the pass bounds do not cover it", file=sys.stderr)
-        programs.append(program)
-    return programs
+        yield pipeline
 
 
-def _records_for(programs, kinds: list[str], errors: list[str]) -> list[BoundsRecord]:
-    """Records of every (program, kind) that succeeds; the others go to `errors`."""
+def _records_for(pipelines: Iterable[ProgramPipeline], kinds: list[str],
+                 errors: list[str]) -> tuple[list[BoundsRecord], int]:
+    """Successful records and the program count; failing pairs go to `errors`."""
     records: list[BoundsRecord] = []
-    for program in programs:
-        pipeline = ProgramPipeline(program)
+    programs = 0
+    for pipeline in pipelines:
+        programs += 1
         for kind in kinds:
             try:
                 records.append(pipeline.record(kind))
             except RuntimeError as exc:
-                errors.append(f"{program.name} {kind}: {exc}")
-    return records
+                errors.append(f"{pipeline.program.name} {kind}: {exc}")
+    return records, programs
 
 
 def _write_bytes(data: bytes, out: str | None) -> None:
@@ -96,8 +99,8 @@ def _write_bytes(data: bytes, out: str | None) -> None:
 def cmd_report(paths: list[str], kinds: list[str], fmt: str,
                out: str | None = None) -> int:
     errors: list[str] = []
-    programs = _load_programs([Path(p) for p in paths], errors)
-    records = _records_for(programs, kinds, errors)
+    records, _ = _records_for(_load_programs([Path(p) for p in paths], errors),
+                              kinds, errors)
     _print_errors(errors)
     _write_bytes(emit_report(records, fmt), out)
     if errors:
@@ -130,8 +133,7 @@ def cmd_corpus(directory: str, kinds: list[str], fmt: str,
         _print_errors([f"{directory}: no .prog files found"])
         return EXIT_USAGE
     errors: list[str] = []
-    programs = _load_programs(paths, errors)
-    records = _records_for(programs, kinds, errors)
+    records, programs = _records_for(_load_programs(paths, errors), kinds, errors)
     _print_errors(errors)
     if not records:
         return EXIT_USAGE
@@ -140,7 +142,7 @@ def cmd_corpus(directory: str, kinds: list[str], fmt: str,
     dev1 = [r.dev1 for r in records]
     dev2 = [r.dev2 for r in records]
     summary = {
-        "programs": len(programs),
+        "programs": programs,
         "records": len(records),
         "violations": sum(1 for r in records if r.bound_violated),
         "acyclic_records": sum(1 for r in records if r.acyclic),

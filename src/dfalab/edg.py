@@ -24,9 +24,11 @@ components and combines exhaustive small searches inside each
 component with one longest-path sweep over the condensation, seeded
 at every entry node.  Only the heaviest cycle of a structure is
 charged, which is sound under monotonic entity dependence (condition
-10; the test suite checks it on solve traces).
-The search for one EDG may take one million steps per entry node,
-pooled over the sweep.
+10; the test suite checks it on solve traces).  The search runs on
+integers: nodes are numbered in (statement, entity) order, each keeps
+its edges in ``edges`` order, and node sets are int bitmasks.  The
+search for one EDG may take one million steps per entry node, pooled
+over the sweep.
 """
 
 from __future__ import annotations
@@ -260,37 +262,37 @@ def path_delta(edg: EntityDependenceGraph, path: StructuredPath, h_hat: int) -> 
 # degree of dependence
 
 
-def _tarjan_sccs(nodes: list[EntityNode],
-                 adj: dict[EntityNode, list[tuple[EntityNode, int]]]) -> list[list[EntityNode]]:
-    index: dict[EntityNode, int] = {}
-    low: dict[EntityNode, int] = {}
-    on_stack: set[EntityNode] = set()
-    stack: list[EntityNode] = []
-    sccs: list[list[EntityNode]] = []
+def _tarjan_sccs(adj: list[list[tuple[int, int]]]) -> list[list[int]]:
+    """Strongly connected components of nodes 0..n-1, in reverse topological order."""
+    index = [-1] * len(adj)
+    low = [0] * len(adj)
+    on_stack = [False] * len(adj)
+    stack: list[int] = []
+    sccs: list[list[int]] = []
     counter = 0
 
-    for root in nodes:
-        if root in index:
+    for root in range(len(adj)):
+        if index[root] >= 0:
             continue
-        work: list[tuple[EntityNode, int]] = [(root, 0)]
+        work: list[tuple[int, int]] = [(root, 0)]
         while work:
             node, child_idx = work[-1]
             if child_idx == 0:
                 index[node] = low[node] = counter
                 counter += 1
                 stack.append(node)
-                on_stack.add(node)
+                on_stack[node] = True
             advanced = False
             succs = adj[node]
             while child_idx < len(succs):
                 child = succs[child_idx][0]
                 child_idx += 1
-                if child not in index:
+                if index[child] < 0:
                     work[-1] = (node, child_idx)
                     work.append((child, 0))
                     advanced = True
                     break
-                if child in on_stack:
+                if on_stack[child]:
                     low[node] = min(low[node], index[child])
             if advanced:
                 continue
@@ -299,7 +301,7 @@ def _tarjan_sccs(nodes: list[EntityNode],
                 component = []
                 while True:
                     member = stack.pop()
-                    on_stack.discard(member)
+                    on_stack[member] = False
                     component.append(member)
                     if member == node:
                         break
@@ -313,65 +315,62 @@ def _tarjan_sccs(nodes: list[EntityNode],
 class _SccScan:
     """Exhaustive structure search inside one strongly connected component.
 
+    ``adj[u]`` lists u's edges inside the component as ``(v, weight,
+    1 << v)``; node sets are int masks.
     ``end0[v]``: best weight of a simple path entry->v using no cycle.
     ``end1[v]``: best value using exactly one anchored cycle.
     ``absorbed[v]``: best value of a structure whose final element is
     a cycle containing v.
     """
 
-    def __init__(self, members: set[EntityNode],
-                 adj: dict[EntityNode, list[tuple[EntityNode, int]]],
+    def __init__(self, adj: dict[int, list[tuple[int, int, int]]],
                  h_hat: int, budget: StepBudget):
-        self.members = members
-        self.adj = {u: [(v, w) for v, w in adj[u] if v in members] for u in members}
+        self.adj = adj
         self.h_hat = h_hat
         self.budget = budget
-        self.end0: dict[EntityNode, int] = {}
-        self.end1: dict[EntityNode, int] = {}
-        self.absorbed: dict[EntityNode, int] = {}
+        self.end0: dict[int, int] = {}
+        self.end1: dict[int, int] = {}
+        self.absorbed: dict[int, int] = {}
 
-    def run(self, entry: EntityNode) -> None:
-        self._walk(entry, {entry}, 0, 0, False)
+    def run(self, entry: int) -> None:
+        self._walk(entry, 1 << entry, 0, 0, False)
 
-    def _walk(self, node: EntityNode, visited: set[EntityNode],
-              value: int, cycles: int, anchored: bool) -> None:
+    def _walk(self, node: int, visited: int, value: int, cycles: int,
+              anchored: bool) -> None:
         self.budget.tick()
         table = self.end0 if cycles == 0 else self.end1
         if value > table.get(node, -1):
             table[node] = value
-        for nxt, w in self.adj[node]:
-            if nxt in visited:
-                continue
-            visited.add(nxt)
-            self._walk(nxt, visited, value + w, cycles, False)
-            visited.discard(nxt)
+        for nxt, w, bit in self.adj[node]:
+            if not visited & bit:
+                self._walk(nxt, visited | bit, value + w, cycles, False)
         # Cycles in one structure are pairwise node-disjoint, so a node
         # anchors at most one of them.
         if not anchored and cycles == 0:
             for interior, cycle_weight in self._cycles_at(node, visited):
                 gained = value + self.h_hat * cycle_weight
-                for member in interior | {node}:
+                members = interior | 1 << node
+                while members:
+                    bit = members & -members
+                    members ^= bit
+                    member = bit.bit_length() - 1
                     if gained > self.absorbed.get(member, -1):
                         self.absorbed[member] = gained
-                visited |= interior
-                self._walk(node, visited, gained, cycles + 1, True)
-                visited -= interior
+                self._walk(node, visited | interior, gained, cycles + 1, True)
 
-    def _cycles_at(self, anchor: EntityNode,
-                   banned: set[EntityNode]) -> list[tuple[frozenset[EntityNode], int]]:
-        found: list[tuple[frozenset[EntityNode], int]] = []
+    def _cycles_at(self, anchor: int, banned: int) -> list[tuple[int, int]]:
+        found: list[tuple[int, int]] = []
+        adj, tick = self.adj, self.budget.tick
 
-        def extend(node: EntityNode, interior: set[EntityNode], weight: int) -> None:
-            self.budget.tick()
-            for nxt, w in self.adj[node]:
+        def extend(node: int, interior: int, weight: int) -> None:
+            tick()
+            for nxt, w, bit in adj[node]:
                 if nxt == anchor:
-                    found.append((frozenset(interior), weight + w))
-                elif nxt not in banned and nxt not in interior:
-                    interior.add(nxt)
-                    extend(nxt, interior, weight + w)
-                    interior.discard(nxt)
+                    found.append((interior, weight + w))
+                elif not (banned | interior) & bit:
+                    extend(nxt, interior | bit, weight + w)
 
-        extend(anchor, set(), 0)
+        extend(anchor, 0, 0)
         return found
 
 
@@ -397,20 +396,21 @@ def delta_vector(edg: EntityDependenceGraph, origins: Iterable[EntityNode],
             raise KeyError(f"{origin} is not an EDG node")
     budget = StepBudget(max_steps * len(origins),
                         "degree-of-dependence enumeration exceeded its step budget")
-    ordered_nodes = sorted(edg.nodes, key=lambda n: (n.stmt, str(n.entity)))
-    adj = {n: [] for n in ordered_nodes}
+    nodes = sorted(edg.nodes, key=lambda n: (n.stmt, str(n.entity)))
+    number = {node: i for i, node in enumerate(nodes)}
+    adj: list[list[tuple[int, int]]] = [[] for _ in nodes]
     for edge in edg.edges:
-        adj[edge.src].append((edge.dst, edge.weight))
+        adj[number[edge.src]].append((number[edge.dst], edge.weight))
 
-    sccs = _tarjan_sccs(ordered_nodes, adj)
+    sccs = _tarjan_sccs(adj)
     # Tarjan emits components in reverse topological order.
     sccs.reverse()
 
     NO = None
-    dp: dict[EntityNode, list[int | None]] = {n: [NO, NO] for n in ordered_nodes}
+    dp: list[list[int | None]] = [[NO, NO] for _ in nodes]
     for origin in origins:
-        dp[origin][0] = 0
-    result: dict[EntityNode, int] = {}
+        dp[number[origin]][0] = 0
+    result: dict[int, int] = {}
 
     def bump(table, key, value):
         prev = table.get(key)
@@ -418,46 +418,47 @@ def delta_vector(edg: EntityDependenceGraph, origins: Iterable[EntityNode],
             table[key] = value
 
     for comp in sccs:
-        members = set(comp)
-        entries = [(u, f) for u in comp for f in (0, 1) if dp[u][f] is not None]
-        if not entries:
-            continue
-        has_internal = any(v in members for u in comp for v, _ in adj[u])
-        at: dict[EntityNode, list[int | None]] = {v: [NO, NO] for v in comp}
-        scans: dict[EntityNode, _SccScan] = {}
-        for u, f in entries:
-            base = dp[u][f]
-            if not has_internal:
-                # Trivial component: staying put is the only move.
-                if at[u][f] is None or base > at[u][f]:
-                    at[u][f] = base
-                continue
-            scan = scans.get(u)
-            if scan is None:
-                scan = _SccScan(members, adj, h_hat, budget)
-                scan.run(u)
-                scans[u] = scan
-            for v, val in scan.end0.items():
-                if at[v][f] is None or base + val > at[v][f]:
-                    at[v][f] = base + val
-            if f == 0:
-                # Only the heaviest cycle is charged, so a structure
-                # that already took one gains nothing from another.
-                for v, val in scan.end1.items():
-                    if at[v][1] is None or base + val > at[v][1]:
-                        at[v][1] = base + val
-                for v, val in scan.absorbed.items():
-                    bump(result, v, base + val)
-        for v in comp:
+        u = comp[0]
+        if len(comp) == 1 and all(v != u for v, _ in adj[u]):
+            # Trivial component: staying put is the only move.
+            at = {u: dp[u]}
+        else:
+            members = sum(1 << v for v in comp)
+            inner = {v: [(x, w, 1 << x) for x, w in adj[v] if members >> x & 1]
+                     for v in comp}
+            at = {v: [NO, NO] for v in comp}
+            for u in comp:
+                scan = None
+                for f in (0, 1):
+                    base = dp[u][f]
+                    if base is None:
+                        continue
+                    if scan is None:
+                        scan = _SccScan(inner, h_hat, budget)
+                        scan.run(u)
+                    for v, val in scan.end0.items():
+                        if at[v][f] is None or base + val > at[v][f]:
+                            at[v][f] = base + val
+                    if f == 0:
+                        # Only the heaviest cycle is charged, so a structure
+                        # that already took one gains nothing from another.
+                        for v, val in scan.end1.items():
+                            if at[v][1] is None or base + val > at[v][1]:
+                                at[v][1] = base + val
+                        for v, val in scan.absorbed.items():
+                            bump(result, v, base + val)
+        for v, values in at.items():
             for flag in (0, 1):
-                if at[v][flag] is not None:
-                    bump(result, v, at[v][flag])
-                    for dst, w in adj[v]:
-                        if dst in members:
-                            continue
-                        if dp[dst][flag] is None or at[v][flag] + w > dp[dst][flag]:
-                            dp[dst][flag] = at[v][flag] + w
-    return result
+                value = values[flag]
+                if value is None:
+                    continue
+                bump(result, v, value)
+                for dst, w in adj[v]:
+                    if dst not in at:
+                        into = dp[dst]
+                        if into[flag] is None or value + w > into[flag]:
+                            into[flag] = value + w
+    return {nodes[v]: value for v, value in result.items()}
 
 
 def degree_of_dependence(edg: EntityDependenceGraph, h_hat: int, *,

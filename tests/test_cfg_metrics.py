@@ -11,7 +11,7 @@ from dfalab.cfg_metrics import (
 from dfalab.generator import GeneratorConfig, generate_program
 from dfalab.ir import Skip
 
-from _oracles import enumerate_depth, enumerate_pair_weight
+from _oracles import enumerate_depth, enumerate_pair_weight, is_reducible
 from conftest import chain_program, make_program
 
 
@@ -107,10 +107,9 @@ def test_node_cap_guards_large_graphs():
 class TestAgainstEnumeration:
     """Exhaustive path enumeration must agree on small programs."""
 
-    @pytest.mark.parametrize("seed", range(25))
-    def test_depth_and_weights(self, seed):
-        program = generate_program(GeneratorConfig(seed=seed, node_budget=11,
-                                                   variable_count=3), seed)
+    @staticmethod
+    def check(config, seed):
+        program = generate_program(config, seed)
         cfg = build_cfg(program)
         assert len(cfg.nodes) <= 12
         back = classify_back_edges(cfg)
@@ -120,6 +119,23 @@ class TestAgainstEnumeration:
                 got = max_backedge_acyclic_weight(cfg, a, b)
                 want = 0 if a == b else enumerate_pair_weight(cfg, back, a, b)
                 assert got == want, (program.name, a, b)
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_depth_and_weights(self, seed):
+        self.check(GeneratorConfig(seed=seed, node_budget=11, variable_count=3), seed)
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_depth_and_weights_irreducible(self, seed):
+        # Irreducible edges let a pairwise search leave and re-enter
+        # loops, where pruning to reach & co-reach matters most.
+        self.check(GeneratorConfig(seed=seed, node_budget=11, variable_count=3,
+                                   irreducible_edge_probability=0.3), seed)
+
+    def test_irreducible_seeds_give_irreducible_graphs(self):
+        graphs = [build_cfg(generate_program(GeneratorConfig(
+            seed=seed, node_budget=11, variable_count=3,
+            irreducible_edge_probability=0.3), seed)) for seed in range(25)]
+        assert sum(not is_reducible(cfg) for cfg in graphs) == 9
 
     def test_fig3(self, fig3_cfg):
         back = classify_back_edges(fig3_cfg)

@@ -1,8 +1,9 @@
 import json
+from collections import Counter
 
 import pytest
 
-from dfalab import SearchBudgetExceeded, bounds, fixtures
+from dfalab import SearchBudgetExceeded, bounds, cfg_metrics, cli, engine, fixtures, ir
 from dfalab.bounds import CSV_HEADER
 from dfalab.cli import EXIT_BOUND_VIOLATION, EXIT_OK, EXIT_USAGE, main
 
@@ -122,6 +123,48 @@ class TestReport:
         assert capsys.readouterr().err == (
             f"dfalab: warning: {tmp_path / 'loop.prog'}: node 2 has a self-loop; "
             "the pass bounds do not cover it\n")
+
+    def test_invalid_program_lists_its_diagnostics(self, tmp_path, fig3_file, capsys):
+        # Diagnostics replace the self-loop warning of an invalid program.
+        bad = tmp_path / "bad.prog"
+        bad.write_text(SELF_LOOP + "node 4  skip\nedge 4 -> 9\n", encoding="utf-8")
+        code = main(["report", str(bad), str(fig3_file), "--analysis", "cp"])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.err == (
+            f"dfalab: {bad}: undefined-node-in-edge: edge 4->9 references undefined node 9\n"
+            f"dfalab: {bad}: unreachable-node: node 4 is not reachable from entry\n")
+        assert [r["program"] for r in rows(captured.out)] == ["fig3"]
+
+    def test_each_program_is_validated_once(self, fig3_file, swap_file, capsys,
+                                            monkeypatch):
+        calls = []
+        original = ir.validate_program
+
+        def counting(program):
+            calls.append(program.name)
+            return original(program)
+
+        # The CLI may reach the validator through its own import too.
+        monkeypatch.setattr(ir, "validate_program", counting)
+        monkeypatch.setattr(cli, "validate_program", counting, raising=False)
+        assert main(["report", str(fig3_file), str(swap_file)]) == EXIT_OK
+        assert calls == ["fig3", "fig3_swap"]
+
+    def test_one_dfs_per_report(self, fig3_file, capsys, monkeypatch):
+        # The DFS is memoised on the CFG; the functions the benchmark
+        # patches or swaps are still called.
+        calls = Counter()
+        for owner, attr in ((cfg_metrics, "_dfs"), (cfg_metrics, "classify_back_edges"),
+                            (engine, "traversal_order")):
+            def counting(*args, _attr=attr, _original=getattr(owner, attr)):
+                calls[_attr] += 1
+                return _original(*args)
+            monkeypatch.setattr(owner, attr, counting)
+        assert main(["report", str(fig3_file), "--analysis", "cp",
+                     "--analysis", "faint"]) == EXIT_OK
+        # cp and faint, plus the reach and live solves behind their EDGs.
+        assert calls == {"_dfs": 1, "classify_back_edges": 1, "traversal_order": 4}
 
 
 class TestGenerate:

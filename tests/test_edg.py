@@ -258,22 +258,15 @@ class TestDegreeOfDependence:
             nodes=frozenset(e for edge in edges for e in (edge.src, edge.dst)),
             edges=tuple(edges), entry_nodes=frozenset(entries))
 
-        def steps_needed(origins):
-            # Smallest pooled budget (max_steps times origins) that fits.
-            lo, hi = 1, 1 << 20
-            while lo < hi:
-                mid = (lo + hi) // 2
-                try:
-                    delta_vector(edg, origins, 2, max_steps=mid)
-                    hi = mid
-                except SearchBudgetExceeded:
-                    lo = mid + 1
-            return lo * len(origins)
-
-        alone = max(steps_needed([origin]) for origin in entries)
-        assert steps_needed(entries) > alone
+        alone = max(_steps_needed(edg, [origin], 2) for origin in entries)
+        assert (alone, _steps_needed(edg, entries, 2)) == (122, 244)
         assert (degree_of_dependence(edg, 2, max_steps=alone)
                 == enumerate_degree(edg, 2))
+
+    def test_fig3_step_counts(self, cp_edg, fv_edg):
+        # Pinned, so that a step budget keeps meaning the same work.
+        assert _steps_needed(cp_edg, cp_edg.entry_nodes, 2) == 15
+        assert _steps_needed(fv_edg, fv_edg.entry_nodes, 1) == 15
 
     def test_one_sweep_for_all_entry_nodes(self, monkeypatch):
         a, b, c, d, e = (N(f"e{i}", i) for i in range(1, 6))
@@ -292,6 +285,19 @@ class TestDegreeOfDependence:
         monkeypatch.setattr(edg_module, "delta_vector", counting)
         assert degree_of_dependence(edg, 2) == enumerate_degree(edg, 2) == 6
         assert len(calls) == 1
+
+
+def _steps_needed(edg, origins, h_hat):
+    """Smallest pooled budget (max_steps times origins) that fits."""
+    lo, hi = 1, 1 << 20
+    while lo < hi:
+        mid = (lo + hi) // 2
+        try:
+            delta_vector(edg, origins, h_hat, max_steps=mid)
+            hi = mid
+        except SearchBudgetExceeded:
+            lo = mid + 1
+    return lo * len(origins)
 
 
 def _random_edg(rng, nodes=6, density=0.35, max_weight=3):
