@@ -15,7 +15,9 @@ Five analyses share the generic engine:
 
 The bit-vector analyses are separable: every transfer is a constant
 or the identity per component, so entities never influence each
-other.
+other.  All but ``cp`` have two-point component lattices, so their
+values are int masks (``engine.MaskSpace``) and their transfers are
+bit operations.
 """
 
 from __future__ import annotations
@@ -25,9 +27,9 @@ from typing import Any, Callable, Mapping, NamedTuple
 from .cfg_metrics import BACKWARD, FORWARD
 from .engine import (
     ComponentLattice,
-    EntitySpace,
     FrameworkInstance,
     Value,
+    entity_space,
 )
 from .ir import (
     ASSIGNMENTS,
@@ -147,7 +149,7 @@ def make_constant_propagation(program: Program,
     """Forward instance over the program's variables, one CP component each."""
     if cfg is None:
         cfg = build_cfg(program)
-    space = EntitySpace(tuple(program.variables), CP_LATTICE)
+    space = entity_space(tuple(program.variables), CP_LATTICE)
     transfers: dict[int, Callable[[Value], Value]] = {}
     dfpmod: dict[int, frozenset] = {}
     dfpuse: dict[int, frozenset] = {}
@@ -192,53 +194,42 @@ def _two_point_lattice(top: _Token, bottom: _Token) -> ComponentLattice:
 FV_LATTICE = _two_point_lattice(FAINT, NOT_FAINT)
 
 
-def fv_transfer(stmt: Statement, value: Value, index: Mapping[str, int]) -> Value:
-    """Backward effect on faintness given the value after the statement.
-
-    ``index`` maps each variable to its position in ``value``.  An
-    assignment overwrites its target, so the target is faint before
-    the statement unless it also appears on the right-hand side of a
-    statement whose target is needed; right-hand-side variables become
-    not-faint exactly when the target is not-faint afterwards.
-    """
-    if isinstance(stmt, ASSIGNMENTS):
-        vals = list(value)
-        target = index[stmt.target]
-        vals[target] = FAINT
-        if value[target] is NOT_FAINT:
-            for var in stmt_uses(stmt):
-                vals[index[var]] = NOT_FAINT
-        return tuple(vals)
-    if isinstance(stmt, Print):
-        i = index[stmt.source]
-        return value[:i] + (NOT_FAINT,) + value[i + 1:]
-    return value
-
-
 def make_faint_variables(program: Program,
                          cfg: ControlFlowGraph | None = None) -> FrameworkInstance:
-    """Backward instance: all variables start faint at exits."""
+    """Backward instance: all variables start faint at exits.
+
+    A value's set bits are the not-faint variables.  An assignment
+    clears its target's bit t, then sets its right-hand side's bits u
+    (the target's included) when t was set: ``v & ~t | u if v & t``.
+    """
     if cfg is None:
         cfg = build_cfg(program)
-    space = EntitySpace(tuple(program.variables), FV_LATTICE)
+    space = entity_space(tuple(program.variables), FV_LATTICE)
+    bit = {var: 1 << i for var, i in space.index.items()}
+    alone = {var: frozenset((var,)) for var in space.entities}
     transfers: dict[int, Callable[[Value], Value]] = {}
     dfpmod: dict[int, frozenset] = {}
     dfpuse: dict[int, frozenset] = {}
     sources: dict[int, frozenset] = {}
+    empty: frozenset = frozenset()
     for node, stmt in program.nodes.items():
-        transfers[node] = (lambda v, s=stmt: fv_transfer(s, v, space.index))
         if isinstance(stmt, ASSIGNMENTS):
-            dfpmod[node] = stmt_uses(stmt)
-            dfpuse[node] = frozenset((stmt.target,))
-            sources[node] = frozenset()
+            uses = stmt_uses(stmt)
+            u = 0
+            for var in uses:
+                u |= bit[var]
+            t = bit[stmt.target]
+            transfers[node] = lambda v, t=t, c=~t, u=u: v & c | u if v & t else v & c
+            dfpmod[node] = uses
+            dfpuse[node] = alone[stmt.target]
+            sources[node] = empty
         elif isinstance(stmt, Print):
-            dfpmod[node] = frozenset((stmt.source,))
-            dfpuse[node] = frozenset()
-            sources[node] = frozenset((stmt.source,))
+            transfers[node] = (lambda v, b=bit[stmt.source]: v | b)
+            dfpmod[node] = sources[node] = alone[stmt.source]
+            dfpuse[node] = empty
         else:
-            dfpmod[node] = frozenset()
-            dfpuse[node] = frozenset()
-            sources[node] = frozenset()
+            transfers[node] = lambda v: v
+            dfpmod[node] = dfpuse[node] = sources[node] = empty
     return FrameworkInstance(
         kind=FAINT_KIND, direction=BACKWARD, space=space, transfers=transfers,
         dfpmod=dfpmod, dfpuse=dfpuse, independent_sources=sources)
@@ -314,26 +305,14 @@ def program_expressions(program: Program) -> tuple[tuple[str, frozenset[str]], .
 # ---------------------------------------------------------------------------
 # bit-vector frameworks
 
-def _constant_write_transfer(writes: tuple[tuple[int, Any], ...]):
-    if not writes:
-        return lambda v: v
-
-    def transfer(value: Value) -> Value:
-        vals = list(value)
-        for idx, val in writes:
-            vals[idx] = val
-        return tuple(vals)
-
-    return transfer
-
-
 def make_bitvector_framework(program: Program, kind: str,
                              cfg: ControlFlowGraph | None = None) -> FrameworkInstance:
     """Build one of the separable analyses (avail, reach, live).
 
     Every transfer either leaves a component alone or sets it to a
-    constant, so f(f(x)) = f(x) holds per node.  Information enters
-    only through the constant writes of the non-top value: expression
+    constant, so f(f(x)) = f(x) holds per node: as a mask transfer it
+    is ``v & keep | gen``.  Information enters only through the
+    constant writes of the non-top value, the ``gen`` bits: expression
     kills for avail, definition generation for reach, and use sites
     for live.
     """
@@ -341,8 +320,8 @@ def make_bitvector_framework(program: Program, kind: str,
         cfg = build_cfg(program)
     if kind == AVAIL_KIND:
         lattice = _two_point_lattice(_Token("avail"), _Token("not-avail"))
-        entities: tuple = tuple(key for key, _ in program_expressions(program))
-        operands = dict(program_expressions(program))
+        expressions = program_expressions(program)
+        entities: tuple = tuple(key for key, _ in expressions)
         direction = FORWARD
     elif kind == REACH_KIND:
         lattice = _two_point_lattice(_Token("not-reaching"), _Token("reaching"))
@@ -355,41 +334,39 @@ def make_bitvector_framework(program: Program, kind: str,
     else:
         raise ValueError(f"unknown bit-vector kind {kind!r}")
 
-    space = EntitySpace(entities, lattice)
+    space = entity_space(entities, lattice)
+    # Assigning a variable sets var_mask's entities to bottom (avail: the
+    # expressions reading it) or to top (its renamed instances).  own_mask:
+    # each expression's bit (avail) or each statement's own instances.
+    var_mask: dict[str, int] = {}
+    own_mask: dict = {}
+    bottom_at: dict = {}  # entities set to bottom, by variable (avail) or statement
+    if kind == AVAIL_KIND:
+        for i, (key, operands) in enumerate(expressions):
+            own_mask[key] = 1 << i
+            for var in operands:
+                var_mask[var] = var_mask.get(var, 0) | 1 << i
+                bottom_at.setdefault(var, []).append(key)
+    else:
+        for i, e in enumerate(entities):
+            var_mask[e.var] = var_mask.get(e.var, 0) | 1 << i
+            own_mask[e.stmt] = own_mask.get(e.stmt, 0) | 1 << i
+            bottom_at.setdefault(e.stmt, []).append(e)
+
     transfers: dict[int, Callable[[Value], Value]] = {}
     dfpmod: dict[int, frozenset] = {}
     dfpuse: dict[int, frozenset] = {}
     sources: dict[int, frozenset] = {}
-    by_var: dict[str, list] = {}
-    by_stmt: dict[int, list] = {}
-    if kind != AVAIL_KIND:
-        for e in entities:
-            by_var.setdefault(e.var, []).append(e)
-            by_stmt.setdefault(e.stmt, []).append(e)
-
     for node, stmt in program.nodes.items():
         target = stmt_target(stmt)
-        writes: list[tuple[int, Any]] = []
-        bottom_written: list = []
+        killed = var_mask.get(target, 0)
         if kind == AVAIL_KIND:
-            computed = expression_key(stmt)
-            for key in entities:
-                if target is not None and target in operands[key]:
-                    writes.append((space.index[key], lattice.bottom))
-                    bottom_written.append(key)
-                elif key == computed:
-                    writes.append((space.index[key], lattice.top))
+            keep = ~(killed | own_mask.get(expression_key(stmt), 0))
+            gen, written = killed, target
         else:
-            # Renamed instances: the statement generates its own and an
-            # assignment kills the other instances of its target.
-            for e in by_var.get(target, ()):
-                if e.stmt != node:
-                    writes.append((space.index[e], lattice.top))
-            for e in by_stmt.get(node, ()):
-                writes.append((space.index[e], lattice.bottom))
-                bottom_written.append(e)
-        transfers[node] = _constant_write_transfer(tuple(writes))
-        dfpmod[node] = sources[node] = frozenset(bottom_written)
+            keep, gen, written = ~killed, own_mask.get(node, 0), node
+        transfers[node] = lambda v, keep=keep, gen=gen: v & keep | gen
+        dfpmod[node] = sources[node] = frozenset(bottom_at.get(written, ()))
         dfpuse[node] = frozenset()
 
     return FrameworkInstance(

@@ -6,8 +6,8 @@ value computed for beta at statement j directly reads the instance of
 alpha coming from statement i.  Instances are resolved with the
 solution of the renamed reaching-definitions framework (``reach``, for
 forward analyses) or the renamed live-uses framework (``live``, for
-backward analyses): they are the components at bottom in that
-solution's tuples, named through its ``space``.  Separable bit-vector
+backward analyses): they are the set bits of that solution's masks,
+named through its ``space``.  Separable bit-vector
 instances never produce edges.
 
 Each edge carries the maximum back-edge count over acyclic CFG paths
@@ -55,7 +55,7 @@ from .ir import ControlFlowGraph, Program, build_cfg
 DEFAULT_DELTA_STEP_CAP = 1_000_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EntityNode:
     """One entity instance: the entity plus its defining/using statement."""
 
@@ -69,7 +69,7 @@ class EntityNode:
         return self.label()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EdgEdge:
     src: EntityNode
     dst: EntityNode
@@ -115,17 +115,21 @@ def build_edg(program: Program, fw: FrameworkInstance, *,
     flow function reads gets an edge to every entity j computes: for
     ``cp`` the definitions reaching j's entry, for ``faint`` the uses
     live at j's exit.  ``renamed`` is the solution of the
-    ``RENAMED_KIND`` analysis, whose entities at bottom are those
-    instances; it is solved here when omitted.
+    ``RENAMED_KIND`` analysis, whose set mask bits are those instances;
+    it is solved here when omitted.
     """
     if cfg is None:
         cfg = build_cfg(program)
     if weights is None:
         weights = WeightTable(cfg)
-    nodes = frozenset(
-        EntityNode(entity, stmt)
-        for stmt, entities in fw.dfpmod.items()
-        for entity in entities)
+    node_of: dict[tuple[Hashable, int], EntityNode] = {}
+    candidates: list[EntityNode] = []
+    for stmt, entities in fw.dfpmod.items():
+        sources = fw.independent_sources.get(stmt, ())
+        for entity in entities:
+            node = node_of[entity, stmt] = EntityNode(entity, stmt)
+            if entity in sources:
+                candidates.append(node)
     edges: list[EdgEdge] = []
 
     if fw.kind in RENAMED_KIND:
@@ -136,28 +140,31 @@ def build_edg(program: Program, fw: FrameworkInstance, *,
         # Weights follow the analysis direction.
         forward = fw.direction == FORWARD
         arriving = renamed.in_values if forward else renamed.out_values
-        instances, bottom = renamed.space.entities, renamed.space.lattice.bottom
+        instances = renamed.space.entities
+        var_mask: dict[str, int] = {}
+        for i, inst in enumerate(instances):
+            var_mask[inst.var] = var_mask.get(inst.var, 0) | 1 << i
         for j in cfg.nodes:
             computed, read = sorted(fw.dfpmod[j]), fw.dfpuse[j]
             if not computed or not read:
                 continue
-            for inst, value in zip(instances, arriving[j]):
-                if value != bottom or inst.var not in read:
-                    continue
+            # The renamed instances at bottom whose variable j reads.
+            hits = arriving[j] & sum(var_mask.get(var, 0) for var in read)
+            while hits:
+                low = hits & -hits
+                hits ^= low
+                inst = instances[low.bit_length() - 1]
                 src, dst = (inst.stmt, j) if forward else (j, inst.stmt)
                 w = weights.weight(src, dst)
                 assert w is not None, "renamed instance without a CFG path"
-                edges.extend(EdgEdge(EntityNode(inst.var, inst.stmt),
-                                     EntityNode(beta, j), w) for beta in computed)
+                origin = node_of[inst.var, inst.stmt]
+                edges.extend(EdgEdge(origin, node_of[beta, j], w) for beta in computed)
     elif fw.kind not in BITVECTOR_KINDS:
         raise ValueError(f"no EDG construction rule for kind {fw.kind!r}")
 
     edges.sort(key=_edge_sort_key)
-    with_preds = {edge.dst for edge in edges}
-    entries = frozenset(
-        n for n in nodes
-        if n not in with_preds
-        and n.entity in fw.independent_sources.get(n.stmt, frozenset()))
+    nodes = frozenset(node_of.values())
+    entries = frozenset(candidates) - {edge.dst for edge in edges}
     return EntityDependenceGraph(kind=fw.kind, direction=fw.direction,
                                  nodes=nodes, edges=tuple(edges),
                                  entry_nodes=entries)

@@ -2,9 +2,13 @@
 
 A framework instance couples a component lattice (one small lattice
 per entity) with per-node transfer functions over the product value.
-A product value is a plain tuple with one component per entity, in
-``EntitySpace.entities`` order; ``EntitySpace.index`` maps an entity
-to its position and ``EntitySpace.meet`` is the componentwise meet.
+``entity_space`` picks the value form from the component lattice: for
+a two-point lattice, a ``MaskSpace`` int with bit i set when entity i
+is at bottom (top is 0 and the meet is bitwise or, as in Kam and
+Ullman's bit-vector problems); otherwise a tuple with one component
+per entity.  ``EntitySpace.index`` maps an entity to its position,
+``meet`` is the componentwise meet and ``components`` lists a value's
+lattice elements in entity order.
 Two solvers are provided:
 
 * ``round_robin_solve`` sweeps all nodes in a fixed order until a full
@@ -26,6 +30,7 @@ may be shared.
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from dataclasses import dataclass
 from functools import reduce
@@ -35,7 +40,7 @@ from .ir import ControlFlowGraph
 from .cfg_metrics import FORWARD, traversal_order
 
 Entity = Hashable
-Value = tuple  # one component per entity, in EntitySpace.entities order
+Value = Any  # a tuple in EntitySpace.entities order, or a MaskSpace int
 
 
 @dataclass(frozen=True)
@@ -74,6 +79,30 @@ class EntitySpace:
         meet = self.lattice.meet
         return tuple(x if x is y else meet(x, y) for x, y in zip(a, b))
 
+    def components(self, value: Value) -> tuple:
+        """The value's lattice elements, in ``entities`` order."""
+        return value
+
+
+class MaskSpace(EntitySpace):
+    """A two-point lattice's space: bit i of a value is set when entity i is at bottom."""
+
+    __slots__ = ()
+    meet = staticmethod(operator.or_)
+
+    def __init__(self, entities: tuple[Entity, ...], lattice: ComponentLattice):
+        super().__init__(entities, lattice)
+        self.top = 0
+
+    def components(self, value: int) -> tuple:
+        top, bottom = self.lattice.top, self.lattice.bottom
+        return tuple(bottom if value >> i & 1 else top for i in range(len(self.entities)))
+
+
+def entity_space(entities: tuple[Entity, ...], lattice: ComponentLattice) -> EntitySpace:
+    """Int masks for a two-point component lattice, tuples otherwise."""
+    return (MaskSpace if lattice.height == 1 else EntitySpace)(entities, lattice)
+
 
 def product_height(component_height: int, entity_count: int) -> int:
     """Height of the product lattice: component height times entity count."""
@@ -103,12 +132,12 @@ class FrameworkInstance:
     independent_sources: dict[int, frozenset[Entity]]
 
     def __post_init__(self) -> None:
-        declared = set(self.space.entities)
+        declared = frozenset(self.space.entities)
         for table in (self.dfpmod, self.dfpuse, self.independent_sources):
             for node, entities in table.items():
-                unknown = set(entities) - declared
-                if unknown:
-                    raise ValueError(f"node {node} names undeclared entities {unknown}")
+                if not declared.issuperset(entities):
+                    raise ValueError(f"node {node} names undeclared entities "
+                                     f"{set(entities) - declared}")
 
     @property
     def entities(self) -> tuple[Entity, ...]:
@@ -136,7 +165,7 @@ class TraceRecord:
 
 @dataclass(frozen=True)
 class SolveResult:
-    """A fixed point: IN/OUT values per node, indexed through ``space``."""
+    """A fixed point: IN/OUT values per node, decoded through ``space``."""
 
     space: EntitySpace
     in_values: dict[int, Value]
@@ -230,6 +259,8 @@ def round_robin_solve(fw: FrameworkInstance, cfg: ControlFlowGraph, *,
 
 def _merge(space: EntitySpace, inputs: tuple[int, ...],
            after: dict[int, Value]) -> Value:
+    if len(inputs) == 1:
+        return after[inputs[0]]
     if not inputs:
         return space.top
     return reduce(space.meet, [after[m] for m in inputs])
@@ -238,11 +269,13 @@ def _merge(space: EntitySpace, inputs: tuple[int, ...],
 def _record_changes(trace: list[TraceRecord], pass_no: int, node: int,
                     fw: FrameworkInstance, old: Value,
                     new: Value, inputs: Value) -> None:
-    index = fw.space.index
+    space = fw.space
+    inputs = space.components(inputs)
     uses = fw.dfpuse.get(node, frozenset())
-    operands = tuple(sorted(((u, inputs[index[u]]) for u in uses),
+    operands = tuple(sorted(((u, inputs[space.index[u]]) for u in uses),
                             key=lambda item: str(item[0])))
-    for entity, was, now in zip(fw.space.entities, old, new):
+    for entity, was, now in zip(space.entities, space.components(old),
+                                space.components(new)):
         if was != now:
             trace.append(TraceRecord(pass_no, node, entity, was, now, operands))
 

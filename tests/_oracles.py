@@ -5,17 +5,33 @@ definitions, not by calling into the corresponding dfalab code paths:
 plain exhaustive enumeration for path weights and the degree of
 dependence, set-based strongly-live, renamed reaching-definitions and
 renamed live-uses analyses, a concrete path interpreter, and
-dominator-based reducibility.  The last section holds the two
-monotonicity checkers that only the tests run: transfer monotonicity
-on sampled values and condition 10 on solve traces.
+dominator-based reducibility.  A reference section rebuilds the
+two-point frameworks over tuple values with explicit per-component
+writes, the form dfalab's int-mask transfers replaced.  The last
+section holds the two monotonicity checkers that only the tests run:
+transfer monotonicity on sampled values and condition 10 on solve
+traces.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
-from dfalab.analyses import CP_LATTICE, NONCONST, UNDEF, DefId, UseId
+from dfalab.analyses import (
+    CP_LATTICE,
+    FAINT,
+    NONCONST,
+    NOT_FAINT,
+    UNDEF,
+    DefId,
+    UseId,
+    expression_key,
+    program_expressions,
+)
+from dfalab.engine import EntitySpace, MaskSpace
 from dfalab.ir import (
+    ASSIGNMENTS,
     BinAssign,
     ConstAssign,
     ControlFlowGraph,
@@ -353,6 +369,77 @@ def is_reducible(cfg: ControlFlowGraph) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# tuple-valued reference for the two-point frameworks
+
+
+def fv_transfer(stmt, value: tuple, index) -> tuple:
+    """Backward effect on faintness given the value after the statement.
+
+    ``index`` maps each variable to its position in ``value``.  An
+    assignment overwrites its target, so the target is faint before
+    the statement unless it also appears on the right-hand side of a
+    statement whose target is needed; right-hand-side variables become
+    not-faint exactly when the target is not-faint afterwards.
+    """
+    if isinstance(stmt, ASSIGNMENTS):
+        vals = list(value)
+        target = index[stmt.target]
+        vals[target] = FAINT
+        if value[target] is NOT_FAINT:
+            for var in stmt_uses(stmt):
+                vals[index[var]] = NOT_FAINT
+        return tuple(vals)
+    if isinstance(stmt, Print):
+        i = index[stmt.source]
+        return value[:i] + (NOT_FAINT,) + value[i + 1:]
+    return value
+
+
+def _constant_write_transfer(writes: tuple[tuple[int, object], ...]):
+    if not writes:
+        return lambda v: v
+
+    def transfer(value: tuple) -> tuple:
+        vals = list(value)
+        for idx, val in writes:
+            vals[idx] = val
+        return tuple(vals)
+
+    return transfer
+
+
+def reference_framework(program, fw):
+    """The tuple-valued twin of a faint/avail/reach/live instance.
+
+    Same entities, lattice and dfp sets as ``fw``; the transfers write
+    components one by one instead of masking bits.
+    """
+    space = EntitySpace(fw.entities, fw.lattice)
+    index = space.index
+    top, bottom = fw.lattice.top, fw.lattice.bottom
+    operands = dict(program_expressions(program))
+    transfers = {}
+    for node, stmt in program.nodes.items():
+        if fw.kind == "faint":
+            transfers[node] = lambda v, s=stmt: fv_transfer(s, v, index)
+            continue
+        target = stmt_target(stmt)
+        writes = []
+        for entity in fw.entities:
+            if fw.kind == "avail":
+                if target is not None and target in operands[entity]:
+                    writes.append((index[entity], bottom))
+                elif entity == expression_key(stmt):
+                    writes.append((index[entity], top))
+            elif entity.stmt == node:
+                writes.append((index[entity], bottom))
+            elif entity.var == target:
+                writes.append((index[entity], top))
+        transfers[node] = _constant_write_transfer(tuple(writes))
+    return dataclasses.replace(fw, space=space, transfers=transfers)
+
+
+# ---------------------------------------------------------------------------
 # monotonicity checkers
 
 
@@ -368,6 +455,13 @@ def sample_component(lattice, rng: random.Random):
     return lattice.top if rng.randrange(2) == 0 else lattice.bottom
 
 
+def sample_value(space, rng: random.Random):
+    """A random value of `space`: an int mask or a tuple of components."""
+    if isinstance(space, MaskSpace):
+        return rng.getrandbits(len(space))
+    return tuple(sample_component(space.lattice, rng) for _ in range(len(space)))
+
+
 def check_monotonicity(fw, sample_count: int, seed: int) -> bool:
     """Spot-check x <= y implies f(x) <= f(y) on seeded random ordered pairs.
 
@@ -378,12 +472,11 @@ def check_monotonicity(fw, sample_count: int, seed: int) -> bool:
         raise ValueError("sample_count must be positive")
     rng = random.Random(seed)
     space = fw.space
-    width = len(space)
     for node in sorted(fw.transfers):
         f = fw.transfers[node]
         for _ in range(sample_count):
-            y = tuple(sample_component(space.lattice, rng) for _ in range(width))
-            noise = tuple(sample_component(space.lattice, rng) for _ in range(width))
+            y = sample_value(space, rng)
+            noise = sample_value(space, rng)
             fx = f(space.meet(y, noise))
             if space.meet(fx, f(y)) != fx:
                 return False

@@ -5,6 +5,7 @@ import pytest
 from dfalab import (
     build_cfg,
     make_constant_propagation,
+    make_framework,
     round_robin_solve,
     worklist_solve,
 )
@@ -16,13 +17,12 @@ from dfalab.analyses import (
     DefId,
     UseId,
     cp_transfer,
-    fv_transfer,
     make_bitvector_framework,
     make_faint_variables,
     program_expressions,
 )
-from dfalab.engine import EntitySpace
-from dfalab.analyses import CP_LATTICE, FV_LATTICE
+from dfalab.engine import EntitySpace, MaskSpace
+from dfalab.analyses import CP_LATTICE
 from dfalab.generator import GeneratorConfig, generate_program
 from dfalab.ir import (
     BinAssign,
@@ -37,27 +37,36 @@ from dfalab.ir import (
 from _oracles import (
     check_monotonicity,
     execute_all_paths,
+    is_reducible,
     live_uses,
     reaching_definitions,
-    sample_component,
+    reference_framework,
+    sample_value,
     strongly_live,
 )
 from conftest import chain_program
 
 
-def apply(transfer, lattice, stmt, mapping):
-    """Run `transfer` on the value that `mapping` gives per variable."""
-    space = EntitySpace(tuple(mapping), lattice)
-    out = transfer(stmt, tuple(mapping.values()), space.index)
+def cp(stmt, mapping):
+    """Run `cp_transfer` on the value that `mapping` gives per variable."""
+    space = EntitySpace(tuple(mapping), CP_LATTICE)
+    out = cp_transfer(stmt, tuple(mapping.values()), space.index)
     return dict(zip(space.entities, out))
 
 
-def cp(stmt, mapping):
-    return apply(cp_transfer, CP_LATTICE, stmt, mapping)
-
-
 def fv(stmt, mapping):
-    return apply(fv_transfer, FV_LATTICE, stmt, mapping)
+    """Run a one-statement faint framework's transfer on `mapping`'s mask."""
+    fw = make_faint_variables(chain_program([stmt], variables=tuple(mapping)))
+    space = fw.space
+    mask = sum(1 << space.index[var] for var, value in mapping.items()
+               if value is space.lattice.bottom)
+    return dict(zip(space.entities, space.components(fw.transfers[1](mask))))
+
+
+def at_bottom(space, value):
+    """The entities whose component of `value` is the lattice bottom."""
+    return {e for e, v in zip(space.entities, space.components(value))
+            if v is space.lattice.bottom}
 
 
 class TestCpTransfer:
@@ -160,7 +169,8 @@ class TestFaintVariables:
         for node, stmt in fig3.nodes.items():
             target = stmt_target(stmt)
             if target is not None:
-                assert solution.out_values[node][fw.space.index[target]] is NOT_FAINT, node
+                out = fw.space.components(solution.out_values[node])
+                assert out[fw.space.index[target]] is NOT_FAINT, node
 
     def test_faint_is_complement_of_strongly_live(self, fig3, fig3_swap):
         programs = [fig3, fig3_swap]
@@ -172,11 +182,13 @@ class TestFaintVariables:
             solution = round_robin_solve(fw, cfg, record_trace=False)
             live_in, live_out = strongly_live(cfg)
             for node in cfg.nodes:
+                in_value = fw.space.components(solution.in_values[node])
+                out_value = fw.space.components(solution.out_values[node])
                 for var in program.variables:
                     i = fw.space.index[var]
-                    assert (solution.in_values[node][i] is FAINT) == (
+                    assert (in_value[i] is FAINT) == (
                         var not in live_in[node]), (program.name, node, var, "in")
-                    assert (solution.out_values[node][i] is FAINT) == (
+                    assert (out_value[i] is FAINT) == (
                         var not in live_out[node]), (program.name, node, var, "out")
 
 
@@ -201,15 +213,13 @@ class TestBitVector:
     def test_fig3_reaching_defs_of_w_at_node7(self, fig3, fig3_cfg):
         fw = make_bitvector_framework(fig3, "reach", fig3_cfg)
         solution = round_robin_solve(fw, fig3_cfg, record_trace=False)
-        reaching = {d for d, v in zip(fw.entities, solution.in_values[7])
-                    if v is fw.lattice.bottom}
+        reaching = at_bottom(fw.space, solution.in_values[7])
         assert {d for d in reaching if d.var == "w"} == {DefId("w", 1), DefId("w", 8)}
 
     def test_fig3_live_uses_of_x_at_exit5(self, fig3, fig3_cfg):
         fw = make_bitvector_framework(fig3, "live", fig3_cfg)
         solution = round_robin_solve(fw, fig3_cfg, record_trace=False)
-        live = {u for u, v in zip(fw.entities, solution.out_values[5])
-                if v is fw.lattice.bottom}
+        live = at_bottom(fw.space, solution.out_values[5])
         assert {u for u in live if u.var == "x"} == {UseId("x", 2), UseId("x", 8)}
 
     def test_transfers_idempotent(self, fig3, fig3_cfg):
@@ -219,7 +229,7 @@ class TestBitVector:
             for node in fig3_cfg.nodes:
                 f = fw.transfers[node]
                 for _ in range(25):
-                    x = tuple(sample_component(fw.lattice, rng) for _ in fw.entities)
+                    x = sample_value(fw.space, rng)
                     assert f(f(x)) == f(x)
 
     def test_unknown_kind(self, fig3):
@@ -250,8 +260,7 @@ class TestRenamedSetAnalyses:
         solution = worklist_solve(fw, cfg)
         sets = reaching_definitions(cfg)
         for node in cfg.nodes:
-            framework_view = {d for d, v in zip(fw.entities, solution.in_values[node])
-                              if v is fw.lattice.bottom}
+            framework_view = at_bottom(fw.space, solution.in_values[node])
             assert framework_view == set(sets[node])
 
     @pytest.mark.parametrize("seed", range(8))
@@ -262,8 +271,7 @@ class TestRenamedSetAnalyses:
         solution = worklist_solve(fw, cfg)
         sets = live_uses(cfg)
         for node in cfg.nodes:
-            framework_view = {u for u, v in zip(fw.entities, solution.out_values[node])
-                              if v is fw.lattice.bottom}
+            framework_view = at_bottom(fw.space, solution.out_values[node])
             assert framework_view == set(sets[node])
 
     def test_fig3_reaching(self, fig3_cfg):
@@ -273,3 +281,37 @@ class TestRenamedSetAnalyses:
     def test_fig3_live(self, fig3_cfg):
         sets = live_uses(fig3_cfg)
         assert {u for u in sets[5] if u.var == "x"} == {UseId("x", 2), UseId("x", 8)}
+
+
+class TestMaskFrameworksMatchTupleReference:
+    """Int-mask solves equal solves of the tuple-valued reference transfers."""
+
+    @pytest.fixture(scope="class")
+    def programs(self, fig3, fig3_swap):
+        reducible = GeneratorConfig(seed=23, node_budget=30)
+        irreducible = GeneratorConfig(seed=31, node_budget=30,
+                                      irreducible_edge_probability=0.3)
+        return ([fig3, fig3_swap]
+                + [generate_program(reducible, i) for i in range(12)]
+                + [generate_program(irreducible, i) for i in range(8)])
+
+    def test_programs_include_irreducible_graphs(self, programs):
+        assert sum(not is_reducible(build_cfg(p)) for p in programs) >= 2
+
+    @pytest.mark.parametrize("kind", ["faint", "avail", "reach", "live"])
+    def test_values_and_pass_counts_match(self, programs, kind):
+        for program in programs:
+            cfg = build_cfg(program)
+            fw = make_framework(program, kind, cfg)
+            assert isinstance(fw.space, MaskSpace)
+            got = round_robin_solve(fw, cfg)
+            want = round_robin_solve(reference_framework(program, fw), cfg)
+            decode = fw.space.components
+            for node in cfg.nodes:
+                assert decode(got.in_values[node]) == want.in_values[node], (
+                    program.name, node, "in")
+                assert decode(got.out_values[node]) == want.out_values[node], (
+                    program.name, node, "out")
+            assert (got.iterations, got.passes_executed) == (
+                want.iterations, want.passes_executed), program.name
+            assert got.trace == want.trace, program.name

@@ -110,3 +110,24 @@ def test_solvers_read_the_swappable_visit_order(fig3, fig3_cfg, monkeypatch, dir
     dfalab.round_robin_solve(fw, fig3_cfg)
     dfalab.worklist_solve(fw, fig3_cfg)
     assert calls == [direction, direction]
+
+
+@pytest.mark.parametrize("kind", dfalab.ANALYSIS_KINDS)
+def test_default_traced_solve_records_lattice_elements(fig3, fig3_cfg, kind):
+    # The benchmark's fixed-point check solves every kind with the
+    # default record_trace=True and compares it with the worklist.
+    fw = dfalab.make_framework(fig3, kind, fig3_cfg)
+    rr = dfalab.round_robin_solve(fw, fig3_cfg)
+    wl = dfalab.worklist_solve(fw, fig3_cfg)
+    assert (rr.in_values, rr.out_values) == (wl.in_values, wl.out_values)
+
+    lattice = fw.lattice
+
+    def is_element(value):
+        constant = kind == "cp" and type(value) is int
+        return value is lattice.top or value is lattice.bottom or constant
+
+    assert rr.trace
+    for record in rr.trace:
+        assert is_element(record.old) and is_element(record.new), record
+        assert all(is_element(value) for _, value in record.operands), record

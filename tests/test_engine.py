@@ -18,7 +18,13 @@ from dfalab.analyses import (
     UNDEF,
     make_faint_variables,
 )
-from dfalab.engine import EntitySpace, FrameworkInstance, product_height
+from dfalab.engine import (
+    EntitySpace,
+    FrameworkInstance,
+    MaskSpace,
+    entity_space,
+    product_height,
+)
 from dfalab.ir import ConstAssign, Print, Skip
 
 from _oracles import check_monotonicity
@@ -66,6 +72,14 @@ class TestProductValues:
     def test_meet_faint(self):
         space = EntitySpace(("x",), FV_LATTICE)
         assert space.meet((FAINT,), (NOT_FAINT,))[space.index["x"]] is NOT_FAINT
+
+    def test_two_point_lattices_get_masks(self):
+        space = entity_space(("x", "y"), FV_LATTICE)
+        assert isinstance(space, MaskSpace) and space.top == 0
+        assert space.components(space.top) == (FAINT, FAINT)
+        assert space.components(space.meet(0b01, 0b10)) == (NOT_FAINT, NOT_FAINT)
+        assert space.components(0b10)[space.index["y"]] is NOT_FAINT
+        assert type(entity_space(("x",), CP_LATTICE)) is EntitySpace
 
     @given(w=cp_values, x=cp_values)
     def test_top_is_the_meet_identity(self, w, x):
@@ -150,8 +164,8 @@ class TestFixedPoints:
         fw = make_faint_variables(program, cfg)
         result = round_robin_solve(fw, cfg)
         a = fw.space.index["a"]
-        assert result.out_values[2][a] is FAINT
-        assert result.in_values[1][a] is NOT_FAINT
+        assert fw.space.components(result.out_values[2])[a] is FAINT
+        assert fw.space.components(result.in_values[1])[a] is NOT_FAINT
 
 
 class TestTraces:
