@@ -340,38 +340,30 @@ def make_bitvector_framework(program: Program, kind: str,
     # each expression's bit (avail) or each statement's own instances.
     var_mask: dict[str, int] = {}
     own_mask: dict = {}
-    bottom_at: dict = {}  # entities set to bottom, by variable (avail) or statement
     if kind == AVAIL_KIND:
         for i, (key, operands) in enumerate(expressions):
             own_mask[key] = 1 << i
             for var in operands:
                 var_mask[var] = var_mask.get(var, 0) | 1 << i
-                bottom_at.setdefault(var, []).append(key)
     else:
         for i, e in enumerate(entities):
             var_mask[e.var] = var_mask.get(e.var, 0) | 1 << i
             own_mask[e.stmt] = own_mask.get(e.stmt, 0) | 1 << i
-            bottom_at.setdefault(e.stmt, []).append(e)
 
     transfers: dict[int, Callable[[Value], Value]] = {}
-    dfpmod: dict[int, frozenset] = {}
-    dfpuse: dict[int, frozenset] = {}
-    sources: dict[int, frozenset] = {}
     for node, stmt in program.nodes.items():
-        target = stmt_target(stmt)
-        killed = var_mask.get(target, 0)
+        killed = var_mask.get(stmt_target(stmt), 0)
         if kind == AVAIL_KIND:
             keep = ~(killed | own_mask.get(expression_key(stmt), 0))
-            gen, written = killed, target
+            gen = killed
         else:
-            keep, gen, written = ~killed, own_mask.get(node, 0), node
+            keep, gen = ~killed, own_mask.get(node, 0)
         transfers[node] = lambda v, keep=keep, gen=gen: v & keep | gen
-        dfpmod[node] = sources[node] = frozenset(bottom_at.get(written, ()))
-        dfpuse[node] = frozenset()
 
+    # Separable: no transfer reads an entity, so no dependences to declare.
     return FrameworkInstance(
         kind=kind, direction=direction, space=space, transfers=transfers,
-        dfpmod=dfpmod, dfpuse=dfpuse, independent_sources=sources)
+        dfpmod={}, dfpuse={}, independent_sources={})
 
 
 def make_framework(program: Program, kind: str,

@@ -24,7 +24,14 @@ from .edg import RENAMED_KIND, EntityDependenceGraph, build_edg, degree_of_depen
 from .engine import FrameworkInstance, SolveResult, product_height, round_robin_solve
 from .ir import Program, build_cfg
 
-CSV_HEADER = "program,analysis,nodes,vars,d,H,delta,B1,B2,I,dev1,dev2,violated"
+# Report columns in order, each with the BoundsRecord attribute it shows.
+_COLUMNS = (
+    ("program", "program"), ("analysis", "analysis"), ("nodes", "nodes"),
+    ("vars", "vars"), ("d", "d"), ("H", "H"), ("delta", "delta"), ("B1", "b1"),
+    ("B2", "b2"), ("I", "iterations"), ("dev1", "dev1"), ("dev2", "dev2"),
+    ("violated", "bound_violated"),
+)
+CSV_HEADER = ",".join(column for column, _ in _COLUMNS)
 
 
 def simplistic_bound(d: int, H: int) -> int:
@@ -63,27 +70,11 @@ class BoundsRecord:
         return self.d == 0
 
     def csv_row(self) -> str:
-        return ",".join(str(v) for v in (
-            self.program, self.analysis, self.nodes, self.vars, self.d,
-            self.H, self.delta, self.b1, self.b2, self.iterations,
-            self.dev1, self.dev2, "true" if self.bound_violated else "false"))
+        return ",".join(str(v).lower() if isinstance(v, bool) else str(v)
+                        for v in self.as_report_dict().values())
 
     def as_report_dict(self) -> dict:
-        return {
-            "program": self.program,
-            "analysis": self.analysis,
-            "nodes": self.nodes,
-            "vars": self.vars,
-            "d": self.d,
-            "H": self.H,
-            "delta": self.delta,
-            "B1": self.b1,
-            "B2": self.b2,
-            "I": self.iterations,
-            "dev1": self.dev1,
-            "dev2": self.dev2,
-            "violated": self.bound_violated,
-        }
+        return {column: getattr(self, attr) for column, attr in _COLUMNS}
 
 
 class ProgramPipeline:
@@ -91,8 +82,8 @@ class ProgramPipeline:
 
     One pipeline per program; CFG metrics and pairwise weights are
     shared across analysis kinds, and the ``reach``/``live`` solutions
-    also resolve the ``cp``/``faint`` EDG instances.  Solves record no
-    trace.
+    also resolve the ``cp``/``faint`` EDG instances.  A separable
+    framework gets delta 0 and no EDG.  Solves record no trace.
     """
 
     def __init__(self, program: Program):
@@ -129,9 +120,12 @@ class ProgramPipeline:
         return self._edgs[kind]
 
     def delta(self, kind: str) -> int:
+        """0 for a separable framework, whose transfers read no entity."""
         if kind not in self._deltas:
-            self._deltas[kind] = degree_of_dependence(
-                self.edg(kind), self.framework(kind).lattice.height)
+            fw = self.framework(kind)
+            separable = not any(fw.dfpuse.values())
+            self._deltas[kind] = 0 if separable else degree_of_dependence(
+                self.edg(kind), fw.lattice.height)
         return self._deltas[kind]
 
     def record(self, kind: str) -> BoundsRecord:

@@ -210,10 +210,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once: parsing leaves the parser unchanged, so calls share it.
+_PARSER = _build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
 

@@ -7,8 +7,8 @@ alpha coming from statement i.  Instances are resolved with the
 solution of the renamed reaching-definitions framework (``reach``, for
 forward analyses) or the renamed live-uses framework (``live``, for
 backward analyses): they are the set bits of that solution's masks,
-named through its ``space``.  Separable bit-vector
-instances never produce edges.
+named through its ``space``.  A framework whose transfers read no
+entity is separable: its delta is 0 and it gets no EDG.
 
 Each edge carries the maximum back-edge count over acyclic CFG paths
 between its two statements, oriented by analysis direction.  The
@@ -37,7 +37,6 @@ from dataclasses import dataclass
 from typing import Hashable, Iterable, Union
 
 from .analyses import (
-    BITVECTOR_KINDS,
     CP_KIND,
     FAINT_KIND,
     LIVE_KIND,
@@ -109,7 +108,7 @@ def build_edg(program: Program, fw: FrameworkInstance, *,
               cfg: ControlFlowGraph | None = None,
               weights: WeightTable | None = None,
               renamed: SolveResult | None = None) -> EntityDependenceGraph:
-    """Construct the EDG for one framework instance.
+    """Construct the EDG of a ``cp`` or ``faint`` instance.
 
     Each renamed instance arriving at statement j whose variable j's
     flow function reads gets an edge to every entity j computes: for
@@ -118,6 +117,8 @@ def build_edg(program: Program, fw: FrameworkInstance, *,
     ``RENAMED_KIND`` analysis, whose set mask bits are those instances;
     it is solved here when omitted.
     """
+    if fw.kind not in RENAMED_KIND:
+        raise ValueError(f"no EDG construction rule for kind {fw.kind!r}")
     if cfg is None:
         cfg = build_cfg(program)
     if weights is None:
@@ -132,35 +133,32 @@ def build_edg(program: Program, fw: FrameworkInstance, *,
                 candidates.append(node)
     edges: list[EdgEdge] = []
 
-    if fw.kind in RENAMED_KIND:
-        if renamed is None:
-            renamed = round_robin_solve(
-                make_bitvector_framework(program, RENAMED_KIND[fw.kind], cfg), cfg,
-                record_trace=False)
-        # Weights follow the analysis direction.
-        forward = fw.direction == FORWARD
-        arriving = renamed.in_values if forward else renamed.out_values
-        instances = renamed.space.entities
-        var_mask: dict[str, int] = {}
-        for i, inst in enumerate(instances):
-            var_mask[inst.var] = var_mask.get(inst.var, 0) | 1 << i
-        for j in cfg.nodes:
-            computed, read = sorted(fw.dfpmod[j]), fw.dfpuse[j]
-            if not computed or not read:
-                continue
-            # The renamed instances at bottom whose variable j reads.
-            hits = arriving[j] & sum(var_mask.get(var, 0) for var in read)
-            while hits:
-                low = hits & -hits
-                hits ^= low
-                inst = instances[low.bit_length() - 1]
-                src, dst = (inst.stmt, j) if forward else (j, inst.stmt)
-                w = weights.weight(src, dst)
-                assert w is not None, "renamed instance without a CFG path"
-                origin = node_of[inst.var, inst.stmt]
-                edges.extend(EdgEdge(origin, node_of[beta, j], w) for beta in computed)
-    elif fw.kind not in BITVECTOR_KINDS:
-        raise ValueError(f"no EDG construction rule for kind {fw.kind!r}")
+    if renamed is None:
+        renamed = round_robin_solve(
+            make_bitvector_framework(program, RENAMED_KIND[fw.kind], cfg), cfg,
+            record_trace=False)
+    # Weights follow the analysis direction.
+    forward = fw.direction == FORWARD
+    arriving = renamed.in_values if forward else renamed.out_values
+    instances = renamed.space.entities
+    var_mask: dict[str, int] = {}
+    for i, inst in enumerate(instances):
+        var_mask[inst.var] = var_mask.get(inst.var, 0) | 1 << i
+    for j in cfg.nodes:
+        computed, read = sorted(fw.dfpmod[j]), fw.dfpuse[j]
+        if not computed or not read:
+            continue
+        # The renamed instances at bottom whose variable j reads.
+        hits = arriving[j] & sum(var_mask.get(var, 0) for var in read)
+        while hits:
+            low = hits & -hits
+            hits ^= low
+            inst = instances[low.bit_length() - 1]
+            src, dst = (inst.stmt, j) if forward else (j, inst.stmt)
+            w = weights.weight(src, dst)
+            assert w is not None, "renamed instance without a CFG path"
+            origin = node_of[inst.var, inst.stmt]
+            edges.extend(EdgEdge(origin, node_of[beta, j], w) for beta in computed)
 
     edges.sort(key=_edge_sort_key)
     nodes = frozenset(node_of.values())

@@ -119,8 +119,9 @@ class FrameworkInstance:
     ``dfpmod``/``dfpuse`` name the entities a node's transfer computes
     and reads.  ``independent_sources`` are the dfpmod entities whose
     transfer produces a non-top value regardless of input (constants,
-    reads, prints, kills): these are the only places where information
-    can enter the analysis.
+    reads, prints): these are the only places where information can
+    enter the analysis.  Separable instances, whose transfers read no
+    entity, declare no dependences: all three tables are empty.
     """
 
     kind: str

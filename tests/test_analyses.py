@@ -203,12 +203,35 @@ class TestBitVector:
         assert program_expressions(program) == ()
 
     def test_fig3_avail_kills(self, fig3, fig3_cfg):
+        # On top (all available), a transfer sets the bits of the
+        # expressions its assignment kills, and no others.
         fw = make_bitvector_framework(fig3, "avail", fig3_cfg)
-        assert fw.dfpmod[1] == frozenset({"w-1"})
-        assert fw.dfpmod[8] == frozenset({"w-1"})
-        assert fw.dfpmod[5] == frozenset({"x+1"})
-        assert fw.dfpmod[6] == frozenset({"y+2"})
-        assert fw.dfpmod[7] == frozenset({"z+3"})
+        bit = {e: 1 << i for e, i in fw.space.index.items()}
+        kills = {1: "w-1", 5: "x+1", 6: "y+2", 7: "z+3", 8: "w-1"}
+        for node in fig3_cfg.nodes:
+            assert fw.transfers[node](0) == bit.get(kills.get(node), 0), node
+
+    @pytest.mark.parametrize("kind", ["avail", "reach", "live"])
+    def test_transfers_are_separable(self, fig3, kind):
+        """Flipping input bit i changes at most output bit i.
+
+        No transfer reads another entity, which is why these frameworks
+        declare no dependences and a pipeline gives them delta 0.
+        """
+        programs = [fig3] + [
+            generate_program(GeneratorConfig(seed=5, node_budget=20,
+                                             irreducible_edge_probability=p), i)
+            for p in (0.0, 0.3) for i in range(3)]
+        rng = random.Random(17)
+        for program in programs:
+            fw = make_framework(program, kind)
+            assert not any(fw.dfpuse.values())
+            for node, f in fw.transfers.items():
+                for _ in range(4):
+                    v = sample_value(fw.space, rng)
+                    for i in range(len(fw.space)):
+                        changed = f(v) ^ f(v ^ 1 << i)
+                        assert not changed & ~(1 << i), (program.name, node, i)
 
     def test_fig3_reaching_defs_of_w_at_node7(self, fig3, fig3_cfg):
         fw = make_bitvector_framework(fig3, "reach", fig3_cfg)

@@ -125,7 +125,7 @@ def test_pipeline_computes_delta_once(fig3, monkeypatch):
 
 def test_pipeline_edg_matches_standalone_build(fig3):
     pipeline = ProgramPipeline(fig3)
-    for kind in ("cp", "faint", "avail"):
+    for kind in ("cp", "faint"):
         standalone = build_edg(fig3, pipeline.framework(kind), cfg=pipeline.cfg)
         assert pipeline.edg(kind) == standalone
 

@@ -91,6 +91,13 @@ class TestReport:
         assert main(["report", str(fig3_file)]) == EXIT_OK
         assert [r["analysis"] for r in rows(capsys.readouterr().out)] == ["cp", "faint"]
 
+    def test_repeated_calls_share_no_flags(self, fig3_file, capsys):
+        # main reuses one parser; an earlier --analysis must not carry over.
+        assert main(["report", str(fig3_file), "--analysis", "avail"]) == EXIT_OK
+        assert [r["analysis"] for r in rows(capsys.readouterr().out)] == ["avail"]
+        assert main(["report", str(fig3_file)]) == EXIT_OK
+        assert [r["analysis"] for r in rows(capsys.readouterr().out)] == ["cp", "faint"]
+
     def test_missing_out_directory_fails_in_one_line(self, fig3_file, tmp_path, capsys):
         out = tmp_path / "missing_dir" / "x.csv"
         assert main(["report", str(fig3_file), "--out", str(out)]) == EXIT_USAGE

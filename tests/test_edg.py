@@ -11,6 +11,7 @@ from dfalab import (
     make_constant_propagation,
     round_robin_solve,
 )
+from dfalab import bounds
 from dfalab import edg as edg_module
 from dfalab.analyses import (
     CP_LATTICE,
@@ -19,6 +20,7 @@ from dfalab.analyses import (
     make_bitvector_framework,
     make_faint_variables,
 )
+from dfalab.bounds import ProgramPipeline
 from dfalab.cfg_metrics import WeightTable, max_backedge_acyclic_weight
 from dfalab.edg import (
     EdgEdge,
@@ -77,17 +79,29 @@ class TestFig3Structure:
             (N("w", 7), N("x", 8)): 1,
         }
 
-    def test_avail_edgeless(self, fig3, fig3_cfg):
-        fw = make_bitvector_framework(fig3, "avail", fig3_cfg)
-        edg = build_edg(fig3, fw, cfg=fig3_cfg)
-        assert edg.nodes == {N("y+2", 6), N("z+3", 7), N("w-1", 1),
-                             N("w-1", 8), N("x+1", 5)}
-        assert edg.edges == ()
+    @pytest.mark.parametrize("kind", ["avail", "reach", "live"])
+    def test_separable_kinds_have_no_edg_rule(self, fig3, fig3_cfg, kind):
+        fw = make_bitvector_framework(fig3, kind, fig3_cfg)
+        with pytest.raises(ValueError, match="no EDG construction rule"):
+            build_edg(fig3, fw, cfg=fig3_cfg)
 
-    def test_separable_kinds_never_have_edges(self, fig3, fig3_cfg):
-        for kind in ("avail", "reach", "live"):
-            fw = make_bitvector_framework(fig3, kind, fig3_cfg)
-            assert build_edg(fig3, fw, cfg=fig3_cfg).edges == ()
+    @pytest.mark.parametrize("kind", ["avail", "reach", "live"])
+    def test_pipeline_reads_separable_delta_off_the_framework(
+            self, fig3, monkeypatch, kind):
+        calls = []
+
+        def spy(name):
+            original = getattr(bounds, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            monkeypatch.setattr(bounds, name, wrapper)
+
+        spy("build_edg")
+        spy("degree_of_dependence")
+        assert ProgramPipeline(fig3).record(kind).delta == 0
+        assert calls == []
 
     def test_entry_nodes(self, cp_edg, fv_edg):
         assert cp_edg.entry_nodes == {N("w", 1)}
@@ -214,10 +228,8 @@ class TestDegreeOfDependence:
     def test_fig3_fv(self, fv_edg):
         assert degree_of_dependence(fv_edg, 1) == 6
 
-    def test_fig3_avail(self, fig3, fig3_cfg):
-        fw = make_bitvector_framework(fig3, "avail", fig3_cfg)
-        edg = build_edg(fig3, fw, cfg=fig3_cfg)
-        assert degree_of_dependence(edg, 1) == 0
+    def test_fig3_avail(self, fig3):
+        assert ProgramPipeline(fig3).delta("avail") == 0
 
     def test_fig3_delta_vectors(self, cp_edg, fv_edg):
         cp_vec = delta_vector(cp_edg, [N("w", 1)], 2)
