@@ -11,18 +11,25 @@ only the counted back edges against the visit order (Kam & Ullman
 1976).
 
 The depth d is the maximum number of back edges on any node-simple
-path.  Pairwise weights ask the same question for paths between two
-fixed statements.  Both use one exact backtracking search over the
-indices of ``cfg.nodes`` with int-bitmask node sets; a pairwise search
-enters only nodes reachable from its source that reach its target
-(closures built once per CFG) and stops at the target.  A node cap of
-64 rejects inputs where exactness is no longer desk-scale, and a budget
-of ten million steps bounds each depth or pairwise-weight computation.
+path; the weight of a statement pair asks the same question for paths
+between the two.  Both are exact backtracking searches over the
+indices of ``cfg.nodes`` with int-bitmask node sets.  Weights are
+searched once per source: one search from a statement enters only
+nodes that reach one of its open targets (closures built once per
+CFG), records the weight at every target it passes without stopping
+there, and closes a target once it attains its bound.  The bound
+counts the back edges a path to the target could take, each one
+whose tail the source reaches without passing its head and whose head
+reaches the target, capped at d; a target whose bound is 0 needs no
+search.  A node cap of 64 rejects inputs where exactness is no longer
+desk-scale, and a budget of ten million steps bounds the depth search
+and each source's weight search.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from typing import Iterable
 
 from .ir import ControlFlowGraph
 
@@ -35,21 +42,6 @@ BACKWARD = "backward"
 
 class SearchBudgetExceeded(RuntimeError):
     """Exact path search aborted: input exceeds the configured budget."""
-
-
-class StepBudget:
-    """Step counter shared by a search's calls; raises once `limit` is passed."""
-
-    __slots__ = ("remaining", "message")
-
-    def __init__(self, limit: int, message: str):
-        self.remaining = limit
-        self.message = message
-
-    def tick(self) -> None:
-        self.remaining -= 1
-        if self.remaining < 0:
-            raise SearchBudgetExceeded(self.message)
 
 
 def depth_first_search(cfg: ControlFlowGraph) -> tuple[frozenset[tuple[int, int]],
@@ -125,25 +117,28 @@ def _closure(neighbours: list[list[int]], order: list[int]) -> list[int]:
             return masks
 
 
-def _search(succ: list[list[tuple[int, int, int]]], counts: list[int],
-            starts: list[int], target: int | None, allowed: int) -> int:
-    """Most back edges on a node-simple path from one of `starts` inside `allowed`.
-
-    The path ends at `target`, or anywhere when it is None.  `counts[i]`
-    back edges leave node i; the unvisited nodes' counts bound the gain.
-    """
-    budget = StepBudget(DEFAULT_STEP_CAP, f"path search exceeded {DEFAULT_STEP_CAP} steps")
-    total = sum(counts)
+def depth(cfg: ControlFlowGraph, *, table: WeightTable | None = None) -> int:
+    """Maximum number of back edges on any node-simple path."""
+    _check_node_cap(cfg)
+    if table is None:
+        table = WeightTable(cfg)
+    succ = table.succ
+    # counts[i] back edges leave node i; the unvisited nodes' counts
+    # bound what a path can still gain.
+    counts = [0] * len(succ)
+    for src, _ in table.back_pairs:
+        counts[src] += 1
+    cap = DEFAULT_STEP_CAP
+    steps = 0
     best = 0
 
     def extend(node: int, free: int, weight: int, remaining: int) -> None:
-        nonlocal best
-        budget.tick()
-        if target is None or node == target:
-            if weight > best:
-                best = weight
-            if node == target:
-                return
+        nonlocal best, steps
+        steps += 1
+        if steps > cap:
+            raise SearchBudgetExceeded(f"depth search exceeded {cap} steps")
+        if weight > best:
+            best = weight
         # Upper bound: every back edge leaving an unvisited node or this one.
         if weight + remaining + counts[node] <= best:
             return
@@ -151,21 +146,14 @@ def _search(succ: list[list[tuple[int, int, int]]], counts: list[int],
             if free & bit:
                 extend(nxt, free ^ bit, weight + back, remaining - counts[nxt])
 
-    for start in starts:
-        extend(start, allowed & ~(1 << start), 0, total - counts[start])
-    return best
-
-
-def depth(cfg: ControlFlowGraph, *, table: WeightTable | None = None) -> int:
-    """Maximum number of back edges on any node-simple path."""
-    _check_node_cap(cfg)
-    if table is None:
-        table = WeightTable(cfg)
-    counts = [sum(src == i for src, _ in table.back_pairs) for i in range(len(cfg.nodes))]
     # A maximum-weight path can be trimmed to start at a back-edge
     # source, so only those starting points need searching.
-    starts = [i for i, count in enumerate(counts) if count]
-    return _search(table.succ, counts, starts, None, (1 << len(cfg.nodes)) - 1)
+    total = sum(counts)
+    everything = (1 << len(succ)) - 1
+    for start, count in enumerate(counts):
+        if count:
+            extend(start, everything & ~(1 << start), 0, total - count)
+    return best
 
 
 def max_backedge_acyclic_weight(cfg: ControlFlowGraph, frm: int, to: int, *,
@@ -173,7 +161,12 @@ def max_backedge_acyclic_weight(cfg: ControlFlowGraph, frm: int, to: int, *,
     """Maximum back-edge count over node-simple paths from `frm` to `to`.
 
     Returns 0 for frm == to (the empty path) and None when `to` is
-    unreachable from `frm`.  `table` shares the CFG's facts across calls.
+    unreachable from `frm`.  `table` shares the CFG's facts across
+    calls: the one search from `frm` also settles every target that
+    ``table.expect`` announced for `frm`, and stores their weights there.
+    A target's bound is the number of back edges a path from `frm` to
+    it could take, capped at the depth; a target whose bound is 0 gets
+    0 without a search.
     """
     if frm not in cfg.successors or to not in cfg.successors:
         raise KeyError(f"unknown node in pair ({frm}, {to})")
@@ -183,19 +176,110 @@ def max_backedge_acyclic_weight(cfg: ControlFlowGraph, frm: int, to: int, *,
     if table is None:
         table = WeightTable(cfg)
     source, target = table.index[frm], table.index[to]
+    reach = table.closures[0][source]
+    # (tail, nodes reached from its head) of each back edge that a path
+    # from frm can take.
+    usable = [(tail, ahead) for (tail, _), (behind, ahead) in zip(table.back_pairs, table.usable)
+              if behind >> source & 1]
+    found: dict[int, int | None] = {}
+    bounds: dict[int, int] = {}
+    for t in table._expected.pop(frm, set()) | {target}:
+        if t == source:
+            found[t] = 0
+        elif not reach >> t & 1:
+            found[t] = None
+        else:
+            found[t] = 0
+            count = sum(ahead >> t & 1 for _, ahead in usable)
+            if count:
+                bounds[t] = min(count, table.depth)
+    if bounds:
+        _longest_paths(table, frm, usable, found, bounds)
+    nodes = cfg.nodes
+    for t, weight in found.items():
+        table._cache[frm, nodes[t]] = weight
+    return found[target]
+
+
+def _longest_paths(table: WeightTable, frm: int, usable: list[tuple[int, int]],
+                   found: dict[int, int | None], bounds: dict[int, int]) -> None:
+    """Raise ``found[t]`` to the weight from `frm` to each target t in `bounds`.
+
+    One backtracking search enumerates the node-simple paths from `frm`
+    and records the weight at every target it passes, without stopping
+    there.  A target closes once it reaches its bound, and a branch
+    stops once it can reach no open target, or once the back edges it
+    can still take gain on none.
+    """
+    source = table.index[frm]
+    succ = table.succ
     reach_of, co_reach_of = table.closures
-    reach, co_reach = reach_of[source], co_reach_of[target]
-    if not reach >> target & 1:
-        return None
-    # A back edge can only appear on a frm->to path if its source is
-    # reachable from frm and its target reaches to.
-    counts = [0] * len(cfg.nodes)
-    for src, dst in table.back_pairs:
-        if reach >> src & 1 and co_reach >> dst & 1:
-            counts[src] += 1
-    if not any(counts):
-        return 0
-    return _search(table.succ, counts, [source], target, reach & co_reach)
+    best = [0] * len(succ)
+    goal = [0] * len(succ)  # an open target's bound, else 0
+    targets = 0
+    for t, bound in bounds.items():
+        goal[t] = bound
+        targets |= 1 << t
+    # The usable back edges toward a target, counted at their tails:
+    # the unvisited nodes' counts bound what a path can still gain.
+    counts = [0] * len(succ)
+    for tail, ahead in usable:
+        if ahead & targets:
+            counts[tail] += 1
+
+    def live_region(open_targets: int) -> int:
+        """The nodes that reach one of `open_targets`."""
+        region = 0
+        while open_targets:
+            low = open_targets & -open_targets
+            open_targets ^= low
+            region |= co_reach_of[low.bit_length() - 1]
+        return region
+
+    region = live_region(targets)
+    floor = 0  # the least weight found at an open target
+    cap = DEFAULT_STEP_CAP
+    steps = 0
+
+    def extend(node: int, free: int, weight: int, remaining: int) -> None:
+        nonlocal targets, region, floor, steps
+        steps += 1
+        if steps > cap:
+            raise SearchBudgetExceeded(f"weight search from node {frm} exceeded {cap} steps")
+        ahead = region
+        if goal[node]:
+            if weight > best[node]:
+                best[node] = weight
+                if weight >= goal[node]:
+                    goal[node] = 0
+                    targets ^= 1 << node
+                    region = live_region(targets)
+                floor = min((best[t] for t in bounds if goal[t]), default=weight)
+            # A path on from a target serves only the other targets.
+            ahead = live_region(targets & ~(1 << node))
+        if weight + remaining + counts[node] <= floor:
+            return
+        ahead &= free
+        for nxt, bit, back in succ[node]:
+            if ahead & bit:
+                extend(nxt, free ^ bit, weight + back, remaining - counts[nxt])
+
+    extend(source, reach_of[source] & region & ~(1 << source), 0,
+           sum(counts) - counts[source])
+    for t in bounds:
+        found[t] = best[t]
+
+
+def _reach_avoiding(neighbours: list[list[int]], start: int, avoid: int) -> int:
+    """Mask of the nodes reachable from `start` along `neighbours` without entering `avoid`."""
+    seen = 1 << start | 1 << avoid
+    stack = [start]
+    while stack:
+        for j in neighbours[stack.pop()]:
+            if not seen >> j & 1:
+                seen |= 1 << j
+                stack.append(j)
+    return seen & ~(1 << avoid)
 
 
 class WeightTable:
@@ -203,7 +287,8 @@ class WeightTable:
 
     Node ``cfg.nodes[i]`` is index i, and ``succ[i]`` holds its
     successors as ``(index, bit, 1 if back edge else 0)``.  Shared by
-    EDG construction and reporting, so each pair is searched once.
+    EDG construction and reporting, so each pair is searched once, and
+    pairs announced through `expect` are searched once per source.
     """
 
     def __init__(self, cfg: ControlFlowGraph):
@@ -214,16 +299,51 @@ class WeightTable:
                       for dst in cfg.successors[src]] for src in cfg.nodes]
         self.back_pairs = sorted((index[src], index[dst]) for src, dst in self.back_edges)
         self._cache: dict[tuple[int, int], int | None] = {}
+        # Source node -> indices of the targets announced for it.
+        self._expected: dict[int, set[int]] = {}
+
+    @cached_property
+    def _neighbours(self) -> tuple[list[list[int]], list[list[int]]]:
+        """Successor and predecessor indices of every node."""
+        preds = [[self.index[p] for p in self.cfg.predecessors[node]]
+                 for node in self.cfg.nodes]
+        return [[j for j, _, _ in out] for out in self.succ], preds
 
     @cached_property
     def closures(self) -> tuple[list[int], list[int]]:
         """Reach and co-reach masks of every node, each from one fixpoint."""
         # Every node is on the DFS; (reverse) postorder sweeps settle fast.
         rpo = [self.index[node] for node in depth_first_search(self.cfg)[1]]
-        preds = [[self.index[p] for p in self.cfg.predecessors[node]]
-                 for node in self.cfg.nodes]
-        return (_closure([[j for j, _, _ in out] for out in self.succ], rpo[::-1]),
-                _closure(preds, rpo))
+        succs, preds = self._neighbours
+        return _closure(succs, rpo[::-1]), _closure(preds, rpo)
+
+    @cached_property
+    def usable(self) -> list[tuple[int, int]]:
+        """Where each back edge of ``back_pairs`` can lie on a node-simple path.
+
+        A path takes back edge (l, h) only if it reaches l without
+        passing h and then goes on from h.  So edge b gets the masks of
+        the nodes that reach l avoiding h and of the nodes that h
+        reaches.  A self-loop is on no path.
+        """
+        preds = self._neighbours[1]
+        reach_of = self.closures[0]
+        return [(_reach_avoiding(preds, tail, head), reach_of[head])
+                if tail != head else (0, 0) for tail, head in self.back_pairs]
+
+    def expect(self, pairs: Iterable[tuple[int, int]]) -> None:
+        """Announce pairs that `weight` will be asked for.
+
+        The first miss for a source then settles all of its announced
+        targets with one search; a statement paired with itself is the
+        empty path, weight 0.
+        """
+        index, cache, expected = self.index, self._cache, self._expected
+        for frm, to in pairs:
+            if frm == to:
+                cache[frm, to] = 0
+            elif (frm, to) not in cache:
+                expected.setdefault(frm, set()).add(index[to])
 
     def weight(self, frm: int, to: int) -> int | None:
         key = (frm, to)

@@ -19,22 +19,28 @@ When the target of a path lies on its final cycle, the trailing
 partial traversal is absorbed into the last circuit and costs
 nothing.
 
+An EDG is integer adjacency: nodes are numbered in (statement,
+entity) order and each keeps its edges sorted by target, the order in
+which ``build_edg`` writes them.  The ``EntityNode``/``EdgEdge`` views
+are derived from it only when read.
+
 The production search condenses the EDG into strongly connected
 components and combines exhaustive small searches inside each
 component with one longest-path sweep over the condensation, seeded
 at every entry node.  Only the heaviest cycle of a structure is
 charged, which is sound under monotonic entity dependence (condition
-10; the test suite checks it on solve traces).  The search runs on
-integers: nodes are numbered in (statement, entity) order, each keeps
-its edges in ``edges`` order, and node sets are int bitmasks.  The
-search for one EDG may take one million steps per entry node, pooled
-over the sweep.
+10; the test suite checks it on solve traces).  The search reads the
+adjacency as built, with node sets as int bitmasks.  The search for
+one EDG may take one million steps per entry node, pooled over the
+sweep.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Union
+from functools import cached_property
+from typing import Hashable, Iterable, NamedTuple, Union
 
 from .analyses import (
     CP_KIND,
@@ -43,7 +49,7 @@ from .analyses import (
     REACH_KIND,
     make_bitvector_framework,
 )
-from .cfg_metrics import FORWARD, StepBudget, WeightTable
+from .cfg_metrics import FORWARD, SearchBudgetExceeded, WeightTable
 from .engine import (
     FrameworkInstance,
     SolveResult,
@@ -52,10 +58,10 @@ from .engine import (
 from .ir import ControlFlowGraph, Program, build_cfg
 
 DEFAULT_DELTA_STEP_CAP = 1_000_000
+_DELTA_BUDGET_MESSAGE = "degree-of-dependence enumeration exceeded its step budget"
 
 
-@dataclass(frozen=True, slots=True)
-class EntityNode:
+class EntityNode(NamedTuple):
     """One entity instance: the entity plus its defining/using statement."""
 
     entity: Hashable
@@ -75,20 +81,62 @@ class EdgEdge:
     weight: int
 
 
+def _node_key(node: EntityNode) -> tuple[int, str]:
+    return (node.stmt, str(node.entity))
+
+
 @dataclass(frozen=True)
 class EntityDependenceGraph:
-    """Nodes and edges of one EDG.
+    """Nodes and edges of one EDG, as integer adjacency.
 
-    ``entry_nodes`` are the in-degree-zero nodes whose flow function
-    yields non-top on its own.  None means no information can enter:
-    every entity stays top and the analysis need not run.
+    Node i is ``labels[i]``, numbered in (statement, entity) order;
+    ``adj[i]`` lists its edges as ``(j, weight)`` and ``entries`` the
+    entry nodes: in-degree-zero nodes whose flow function yields
+    non-top on its own.  No entry node means no information can
+    enter: every entity stays top and the analysis need not run.  The
+    object views ``nodes``, ``edges`` and ``entry_nodes`` are derived
+    on first read.
     """
 
     kind: str
     direction: str
-    nodes: frozenset[EntityNode]
-    edges: tuple[EdgEdge, ...]
-    entry_nodes: frozenset[EntityNode]
+    labels: list[EntityNode]
+    adj: list[list[tuple[int, int]]]
+    entries: list[int]
+
+    @classmethod
+    def from_edges(cls, kind: str, direction: str, nodes: Iterable[EntityNode],
+                   edges: Iterable[EdgEdge],
+                   entry_nodes: Iterable[EntityNode]) -> EntityDependenceGraph:
+        """The EDG of given objects; each node keeps its edges in `edges` order."""
+        labels = sorted(nodes, key=_node_key)
+        number = {node: i for i, node in enumerate(labels)}
+        adj: list[list[tuple[int, int]]] = [[] for _ in labels]
+        for edge in edges:
+            adj[number[edge.src]].append((number[edge.dst], edge.weight))
+        return cls(kind, direction, labels, adj, sorted(number[n] for n in entry_nodes))
+
+    @cached_property
+    def nodes(self) -> frozenset[EntityNode]:
+        return frozenset(self.labels)
+
+    @cached_property
+    def edges(self) -> tuple[EdgEdge, ...]:
+        """By source in node order, then in adjacency order (by target, as built)."""
+        labels = self.labels
+        return tuple(EdgEdge(labels[u], labels[v], w)
+                     for u, out in enumerate(self.adj) for v, w in out)
+
+    @cached_property
+    def entry_nodes(self) -> frozenset[EntityNode]:
+        return frozenset(self.labels[i] for i in self.entries)
+
+    def index_of(self, node: EntityNode) -> int:
+        labels = self.labels
+        i = bisect_left(labels, _node_key(node), key=_node_key)
+        if i == len(labels) or labels[i] != node:
+            raise KeyError(f"{node} is not an EDG node")
+        return i
 
 
 class MalformedPathError(ValueError):
@@ -98,10 +146,6 @@ class MalformedPathError(ValueError):
 # The bit-vector analysis whose solution resolves the renamed instances
 # a non-separable kind's EDG connects.
 RENAMED_KIND = {CP_KIND: REACH_KIND, FAINT_KIND: LIVE_KIND}
-
-
-def _edge_sort_key(edge: EdgEdge):
-    return (edge.src.stmt, str(edge.src.entity), edge.dst.stmt, str(edge.dst.entity))
 
 
 def build_edg(program: Program, fw: FrameworkInstance, *,
@@ -123,15 +167,23 @@ def build_edg(program: Program, fw: FrameworkInstance, *,
         cfg = build_cfg(program)
     if weights is None:
         weights = WeightTable(cfg)
-    node_of: dict[tuple[Hashable, int], EntityNode] = {}
-    candidates: list[EntityNode] = []
-    for stmt, entities in fw.dfpmod.items():
+    # Number the nodes in (statement, entity) order; the entities a
+    # statement computes get consecutive numbers, span[stmt].
+    labels: list[EntityNode] = []
+    number: dict[tuple[Hashable, int], int] = {}
+    span: dict[int, range] = {}
+    candidates: list[int] = []
+    for stmt in sorted(fw.dfpmod):
+        entities = fw.dfpmod[stmt]
+        if len(entities) > 1:
+            entities = sorted(entities, key=str)
         sources = fw.independent_sources.get(stmt, ())
+        span[stmt] = range(len(labels), len(labels) + len(entities))
         for entity in entities:
-            node = node_of[entity, stmt] = EntityNode(entity, stmt)
+            number[entity, stmt] = len(labels)
             if entity in sources:
-                candidates.append(node)
-    edges: list[EdgEdge] = []
+                candidates.append(len(labels))
+            labels.append(EntityNode(entity, stmt))
 
     if renamed is None:
         renamed = round_robin_solve(
@@ -144,28 +196,37 @@ def build_edg(program: Program, fw: FrameworkInstance, *,
     var_mask: dict[str, int] = {}
     for i, inst in enumerate(instances):
         var_mask[inst.var] = var_mask.get(inst.var, 0) | 1 << i
+    # (origin node, statement j, weight pair), in ascending j.
+    hits: list[tuple[int, int, tuple[int, int]]] = []
     for j in cfg.nodes:
-        computed, read = sorted(fw.dfpmod[j]), fw.dfpuse[j]
-        if not computed or not read:
+        read = fw.dfpuse[j]
+        if not span[j] or not read:
             continue
         # The renamed instances at bottom whose variable j reads.
-        hits = arriving[j] & sum(var_mask.get(var, 0) for var in read)
-        while hits:
-            low = hits & -hits
-            hits ^= low
+        mask = 0
+        for var in read:
+            mask |= var_mask.get(var, 0)
+        mask &= arriving[j]
+        while mask:
+            low = mask & -mask
+            mask ^= low
             inst = instances[low.bit_length() - 1]
-            src, dst = (inst.stmt, j) if forward else (j, inst.stmt)
-            w = weights.weight(src, dst)
-            assert w is not None, "renamed instance without a CFG path"
-            origin = node_of[inst.var, inst.stmt]
-            edges.extend(EdgEdge(origin, node_of[beta, j], w) for beta in computed)
+            pair = (inst.stmt, j) if forward else (j, inst.stmt)
+            hits.append((number[inst.var, inst.stmt], j, pair))
+    weights.expect(pair for _, _, pair in hits)
 
-    edges.sort(key=_edge_sort_key)
-    nodes = frozenset(node_of.values())
-    entries = frozenset(candidates) - {edge.dst for edge in edges}
-    return EntityDependenceGraph(kind=fw.kind, direction=fw.direction,
-                                 nodes=nodes, edges=tuple(edges),
-                                 entry_nodes=entries)
+    # cfg.nodes ascends, so each list comes out sorted by target.
+    adj: list[list[tuple[int, int]]] = [[] for _ in labels]
+    for origin, j, pair in hits:
+        w = weights.weight(*pair)
+        if w is None:
+            raise RuntimeError(f"renamed instance without a CFG path from {pair[0]} to {pair[1]}")
+        out = adj[origin]
+        for v in span[j]:
+            out.append((v, w))
+    targeted = {j for _, j, _ in hits}
+    entries = [i for i in candidates if labels[i].stmt not in targeted]
+    return EntityDependenceGraph(fw.kind, fw.direction, labels, adj, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +328,11 @@ def path_delta(edg: EntityDependenceGraph, path: StructuredPath, h_hat: int) -> 
 # degree of dependence
 
 
-def _tarjan_sccs(adj: list[list[tuple[int, int]]]) -> list[list[int]]:
-    """Strongly connected components of nodes 0..n-1, in reverse topological order."""
+def _tarjan_sccs(adj: list[list[tuple[int, int]]], roots: Iterable[int]) -> list[list[int]]:
+    """Strongly connected components of the nodes reachable from `roots`.
+
+    Nodes are 0..n-1; the components come in reverse topological order.
+    """
     index = [-1] * len(adj)
     low = [0] * len(adj)
     on_stack = [False] * len(adj)
@@ -276,7 +340,7 @@ def _tarjan_sccs(adj: list[list[tuple[int, int]]]) -> list[list[int]]:
     sccs: list[list[int]] = []
     counter = 0
 
-    for root in range(len(adj)):
+    for root in roots:
         if index[root] >= 0:
             continue
         work: list[tuple[int, int]] = [(root, 0)]
@@ -317,66 +381,83 @@ def _tarjan_sccs(adj: list[list[tuple[int, int]]]) -> list[list[int]]:
     return sccs
 
 
-class _SccScan:
+def _scan_component(adj: dict[int, list[tuple[int, int, int]]], h_hat: int,
+                    entry: int, steps: int) -> tuple[dict[int, int], dict[int, int],
+                                                     dict[int, int], int]:
     """Exhaustive structure search inside one strongly connected component.
 
     ``adj[u]`` lists u's edges inside the component as ``(v, weight,
-    1 << v)``; node sets are int masks.
+    1 << v)``; node sets are int masks.  Returns ``end0``, ``end1``,
+    ``absorbed`` and the steps left of `steps`, the budget pooled with
+    the sweep's other scans.
     ``end0[v]``: best weight of a simple path entry->v using no cycle.
     ``end1[v]``: best value using exactly one anchored cycle.
     ``absorbed[v]``: best value of a structure whose final element is
     a cycle containing v.
     """
+    end0: dict[int, int] = {}
+    end1: dict[int, int] = {}
+    ending: dict[int, int] = {}  # cycle members mask -> best final value
 
-    def __init__(self, adj: dict[int, list[tuple[int, int, int]]],
-                 h_hat: int, budget: StepBudget):
-        self.adj = adj
-        self.h_hat = h_hat
-        self.budget = budget
-        self.end0: dict[int, int] = {}
-        self.end1: dict[int, int] = {}
-        self.absorbed: dict[int, int] = {}
-
-    def run(self, entry: int) -> None:
-        self._walk(entry, 1 << entry, 0, 0, False)
-
-    def _walk(self, node: int, visited: int, value: int, cycles: int,
-              anchored: bool) -> None:
-        self.budget.tick()
-        table = self.end0 if cycles == 0 else self.end1
-        if value > table.get(node, -1):
-            table[node] = value
-        for nxt, w, bit in self.adj[node]:
+    def walk(node: int, visited: int, value: int) -> None:
+        nonlocal steps
+        steps -= 1
+        if steps < 0:
+            raise SearchBudgetExceeded(_DELTA_BUDGET_MESSAGE)
+        if value > end0.get(node, -1):
+            end0[node] = value
+        for nxt, w, bit in adj[node]:
             if not visited & bit:
-                self._walk(nxt, visited | bit, value + w, cycles, False)
-        # Cycles in one structure are pairwise node-disjoint, so a node
-        # anchors at most one of them.
-        if not anchored and cycles == 0:
-            for interior, cycle_weight in self._cycles_at(node, visited):
-                gained = value + self.h_hat * cycle_weight
-                members = interior | 1 << node
-                while members:
-                    bit = members & -members
-                    members ^= bit
-                    member = bit.bit_length() - 1
-                    if gained > self.absorbed.get(member, -1):
-                        self.absorbed[member] = gained
-                self._walk(node, visited | interior, gained, cycles + 1, True)
+                walk(nxt, visited | bit, value + w)
+        # Cycles in one structure are pairwise node-disjoint, and only
+        # the heaviest is charged, so one cycle per structure suffices.
+        for interior, cycle_weight in cycles_at(node, visited):
+            gained = value + h_hat * cycle_weight
+            members = interior | 1 << node
+            if gained > ending.get(members, -1):
+                ending[members] = gained
+            walk_on(node, visited | interior, gained)
 
-    def _cycles_at(self, anchor: int, banned: int) -> list[tuple[int, int]]:
+    def walk_on(node: int, visited: int, value: int) -> None:
+        """Continue a structure that has taken its cycle."""
+        nonlocal steps
+        steps -= 1
+        if steps < 0:
+            raise SearchBudgetExceeded(_DELTA_BUDGET_MESSAGE)
+        if value > end1.get(node, -1):
+            end1[node] = value
+        for nxt, w, bit in adj[node]:
+            if not visited & bit:
+                walk_on(nxt, visited | bit, value + w)
+
+    def cycles_at(anchor: int, banned: int) -> list[tuple[int, int]]:
         found: list[tuple[int, int]] = []
-        adj, tick = self.adj, self.budget.tick
 
         def extend(node: int, interior: int, weight: int) -> None:
-            tick()
+            nonlocal steps
+            steps -= 1
+            if steps < 0:
+                raise SearchBudgetExceeded(_DELTA_BUDGET_MESSAGE)
+            blocked = banned | interior
             for nxt, w, bit in adj[node]:
                 if nxt == anchor:
                     found.append((interior, weight + w))
-                elif not (banned | interior) & bit:
+                elif not blocked & bit:
                     extend(nxt, interior | bit, weight + w)
 
         extend(anchor, 0, 0)
         return found
+
+    walk(entry, 1 << entry, 0)
+    absorbed: dict[int, int] = {}
+    for members, value in ending.items():
+        while members:
+            bit = members & -members
+            members ^= bit
+            member = bit.bit_length() - 1
+            if value > absorbed.get(member, -1):
+                absorbed[member] = value
+    return end0, end1, absorbed, steps
 
 
 def delta_vector(edg: EntityDependenceGraph, origins: Iterable[EntityNode],
@@ -395,75 +476,60 @@ def delta_vector(edg: EntityDependenceGraph, origins: Iterable[EntityNode],
     component scan once where separate single-origin sweeps would
     repeat it, so it never needs more steps than they need together.
     """
-    origins = list(origins)
-    for origin in origins:
-        if origin not in edg.nodes:
-            raise KeyError(f"{origin} is not an EDG node")
-    budget = StepBudget(max_steps * len(origins),
-                        "degree-of-dependence enumeration exceeded its step budget")
-    nodes = sorted(edg.nodes, key=lambda n: (n.stmt, str(n.entity)))
-    number = {node: i for i, node in enumerate(nodes)}
-    adj: list[list[tuple[int, int]]] = [[] for _ in nodes]
-    for edge in edg.edges:
-        adj[number[edge.src]].append((number[edge.dst], edge.weight))
-
-    sccs = _tarjan_sccs(adj)
-    # Tarjan emits components in reverse topological order.
-    sccs.reverse()
-
-    NO = None
-    dp: list[list[int | None]] = [[NO, NO] for _ in nodes]
-    for origin in origins:
-        dp[number[origin]][0] = 0
+    starts = [edg.index_of(origin) for origin in origins]
+    steps = max_steps * len(starts)
+    adj = edg.adj
+    # The best value arriving at each node with no cycle charged yet
+    # (in0) and with one (in1); -1 for none, as weights are not negative.
+    in0 = [-1] * len(adj)
+    in1 = [-1] * len(adj)
+    for start in starts:
+        in0[start] = 0
     result: dict[int, int] = {}
 
-    def bump(table, key, value):
-        prev = table.get(key)
-        if prev is None or value > prev:
-            table[key] = value
-
-    for comp in sccs:
+    # Tarjan emits components in reverse topological order.
+    for comp in reversed(_tarjan_sccs(adj, starts)):
         u = comp[0]
         if len(comp) == 1 and all(v != u for v, _ in adj[u]):
             # Trivial component: staying put is the only move.
-            at = {u: dp[u]}
+            out = {u: (in0[u], in1[u])}
         else:
             members = sum(1 << v for v in comp)
             inner = {v: [(x, w, 1 << x) for x, w in adj[v] if members >> x & 1]
                      for v in comp}
-            at = {v: [NO, NO] for v in comp}
+            out0 = dict.fromkeys(comp, -1)
+            out1 = dict.fromkeys(comp, -1)
             for u in comp:
-                scan = None
-                for f in (0, 1):
-                    base = dp[u][f]
-                    if base is None:
-                        continue
-                    if scan is None:
-                        scan = _SccScan(inner, h_hat, budget)
-                        scan.run(u)
-                    for v, val in scan.end0.items():
-                        if at[v][f] is None or base + val > at[v][f]:
-                            at[v][f] = base + val
-                    if f == 0:
-                        # Only the heaviest cycle is charged, so a structure
-                        # that already took one gains nothing from another.
-                        for v, val in scan.end1.items():
-                            if at[v][1] is None or base + val > at[v][1]:
-                                at[v][1] = base + val
-                        for v, val in scan.absorbed.items():
-                            bump(result, v, base + val)
-        for v, values in at.items():
-            for flag in (0, 1):
-                value = values[flag]
-                if value is None:
+                base0, base1 = in0[u], in1[u]
+                if base0 < 0 and base1 < 0:
                     continue
-                bump(result, v, value)
-                for dst, w in adj[v]:
-                    if dst not in at:
-                        into = dp[dst]
-                        if into[flag] is None or value + w > into[flag]:
-                            into[flag] = value + w
-    return {nodes[v]: value for v, value in result.items()}
+                end0, end1, absorbed, steps = _scan_component(inner, h_hat, u, steps)
+                for v, val in end0.items():
+                    if base0 >= 0 and base0 + val > out0[v]:
+                        out0[v] = base0 + val
+                    if base1 >= 0 and base1 + val > out1[v]:
+                        out1[v] = base1 + val
+                if base0 >= 0:
+                    # Only the heaviest cycle is charged, so a structure
+                    # that already took one gains nothing from another.
+                    for v, val in end1.items():
+                        if base0 + val > out1[v]:
+                            out1[v] = base0 + val
+                    for v, val in absorbed.items():
+                        if base0 + val > result.get(v, -1):
+                            result[v] = base0 + val
+            out = {v: (out0[v], out1[v]) for v in comp}
+        for v, (value0, value1) in out.items():
+            if max(value0, value1) > result.get(v, -1):
+                result[v] = max(value0, value1)
+            for dst, w in adj[v]:
+                if dst not in out:
+                    if value0 >= 0 and value0 + w > in0[dst]:
+                        in0[dst] = value0 + w
+                    if value1 >= 0 and value1 + w > in1[dst]:
+                        in1[dst] = value1 + w
+    labels = edg.labels
+    return {labels[v]: value for v, value in result.items()}
 
 
 def degree_of_dependence(edg: EntityDependenceGraph, h_hat: int, *,
@@ -473,7 +539,8 @@ def degree_of_dependence(edg: EntityDependenceGraph, h_hat: int, *,
     Zero for edgeless graphs and for graphs without entry nodes (no
     information can enter, so nothing ever changes).
     """
-    if not edg.edges or not edg.entry_nodes:
+    if not edg.entries or not any(edg.adj):
         return 0
-    return max(delta_vector(edg, edg.entry_nodes, h_hat, max_steps=max_steps).values())
+    origins = [edg.labels[i] for i in edg.entries]
+    return max(delta_vector(edg, origins, h_hat, max_steps=max_steps).values())
 

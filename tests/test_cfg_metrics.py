@@ -1,6 +1,8 @@
+from pathlib import Path
+
 import pytest
 
-from dfalab import SearchBudgetExceeded, build_cfg
+from dfalab import SearchBudgetExceeded, bounds, build_cfg, cfg_metrics, cli, fixtures
 from dfalab.cfg_metrics import (
     WeightTable,
     classify_back_edges,
@@ -137,6 +139,36 @@ class TestAgainstEnumeration:
             irreducible_edge_probability=0.3), seed)) for seed in range(25)]
         assert sum(not is_reducible(cfg) for cfg in graphs) == 9
 
+    @staticmethod
+    def check_per_source(cfg, monkeypatch):
+        """Every source asks for all its targets at once: one search each."""
+        back = classify_back_edges(cfg)
+        table = WeightTable(cfg)
+        searches = []
+        original = cfg_metrics._longest_paths
+
+        def counting(table, frm, *args):
+            searches.append(frm)
+            return original(table, frm, *args)
+
+        monkeypatch.setattr(cfg_metrics, "_longest_paths", counting)
+        for a in cfg.nodes:
+            table.expect((a, b) for b in cfg.nodes)
+            for b in cfg.nodes:
+                want = 0 if a == b else enumerate_pair_weight(cfg, back, a, b)
+                assert table.weight(a, b) == want, (a, b)
+        assert len(searches) == len(set(searches))
+
+    @pytest.mark.parametrize("irreducible", [0.0, 0.3])
+    @pytest.mark.parametrize("seed", range(25))
+    def test_per_source_weights(self, seed, irreducible, monkeypatch):
+        self.check_per_source(build_cfg(generate_program(GeneratorConfig(
+            seed=seed, node_budget=11, variable_count=3,
+            irreducible_edge_probability=irreducible), seed)), monkeypatch)
+
+    def test_per_source_weights_fig3(self, fig3_cfg, monkeypatch):
+        self.check_per_source(fig3_cfg, monkeypatch)
+
     def test_fig3(self, fig3_cfg):
         back = classify_back_edges(fig3_cfg)
         assert depth(fig3_cfg) == enumerate_depth(fig3_cfg, back) == 3
@@ -145,3 +177,54 @@ class TestAgainstEnumeration:
                 if a != b:
                     assert (max_backedge_acyclic_weight(fig3_cfg, a, b)
                             == enumerate_pair_weight(fig3_cfg, back, a, b))
+
+
+def test_targets_without_usable_back_edges_need_no_search(fig3_cfg, monkeypatch):
+    # Node 1 lies outside every loop, so no path from it can take a
+    # back edge: each target's bound is 0.
+    def no_search(*args):
+        raise AssertionError("searched")
+
+    monkeypatch.setattr(cfg_metrics, "_longest_paths", no_search)
+    table = WeightTable(fig3_cfg)
+    table.expect((1, b) for b in fig3_cfg.nodes)
+    assert [table.weight(1, b) for b in fig3_cfg.nodes] == [0] * 8
+
+
+def test_fig3_report_searches_each_source_once_per_edg(monkeypatch, capsys):
+    # Each kind's EDG build announces its pairs first, so it searches a
+    # source once.  faint then asks source 5 for a target cp did not
+    # need, (5, 2); its other pairs are already cached.
+    builds = []
+    original_build, original_search = bounds.build_edg, cfg_metrics.max_backedge_acyclic_weight
+
+    def build(program, fw, **kwargs):
+        builds.append((fw.kind, []))
+        return original_build(program, fw, **kwargs)
+
+    def search(cfg, frm, to, **kwargs):
+        builds[-1][1].append(frm)
+        return original_search(cfg, frm, to, **kwargs)
+
+    monkeypatch.setattr(bounds, "build_edg", build)
+    monkeypatch.setattr(cfg_metrics, "max_backedge_acyclic_weight", search)
+    fig3 = Path(fixtures.__file__).parent / "fig3.prog"
+    assert cli.main(["report", str(fig3), "--analysis", "cp", "--analysis", "faint"]) == 0
+    capsys.readouterr()
+    assert [(kind, sorted(sources)) for kind, sources in builds] == [
+        ("cp", [1, 5, 6, 7, 8]), ("faint", [5])]
+
+
+def test_depth_budget_error_names_the_depth_search(fig3_cfg, monkeypatch):
+    monkeypatch.setattr(cfg_metrics, "DEFAULT_STEP_CAP", 3)
+    with pytest.raises(SearchBudgetExceeded, match="^depth search exceeded 3 steps$"):
+        depth(fig3_cfg)
+
+
+def test_weight_budget_error_names_the_source(fig3_cfg, monkeypatch):
+    table = WeightTable(fig3_cfg)
+    assert table.depth == 3
+    monkeypatch.setattr(cfg_metrics, "DEFAULT_STEP_CAP", 3)
+    with pytest.raises(SearchBudgetExceeded,
+                       match="^weight search from node 5 exceeded 3 steps$"):
+        table.weight(5, 2)

@@ -134,6 +134,27 @@ class TestFig3Structure:
         assert all(e.weight <= 3 for e in cp_edg.edges)
         assert all(e.weight <= 3 for e in fv_edg.edges)
 
+    def test_edges_view_is_sorted_adjacency(self, cp_edg, fv_edg):
+        # The integer EDG is written in (statement, entity) order, so its
+        # derived edges come out sorted, and rebuilding it from them
+        # gives back the same adjacency.
+        def key(edge):
+            return (edge.src.stmt, str(edge.src.entity), edge.dst.stmt, str(edge.dst.entity))
+
+        for edg in (cp_edg, fv_edg):
+            assert edg.edges == tuple(sorted(edg.edges, key=key))
+            assert EntityDependenceGraph.from_edges(
+                edg.kind, edg.direction, edg.nodes, edg.edges, edg.entry_nodes) == edg
+
+    def test_missing_cfg_path_is_an_error(self, fig3, fig3_cfg):
+        class NoPaths(WeightTable):
+            def weight(self, frm, to):
+                return None
+
+        fw = make_constant_propagation(fig3, fig3_cfg)
+        with pytest.raises(RuntimeError, match="without a CFG path from 6 to 5"):
+            build_edg(fig3, fw, cfg=fig3_cfg, weights=NoPaths(fig3_cfg))
+
     @pytest.mark.parametrize("seed", range(6))
     def test_weights_match_cfg_metric_on_generated(self, seed):
         program = generate_program(GeneratorConfig(seed=seed, node_budget=30), seed)
@@ -249,7 +270,7 @@ class TestDegreeOfDependence:
         entry = N("e1", 1)
         edges = [EdgEdge(entry, core[0], 1)]
         edges += [EdgEdge(a, b, 1) for a in core for b in core if a != b]
-        edg = EntityDependenceGraph(
+        edg = EntityDependenceGraph.from_edges(
             kind="synthetic", direction="forward",
             nodes=frozenset([entry] + core), edges=tuple(edges),
             entry_nodes=frozenset([entry]))
@@ -265,7 +286,7 @@ class TestDegreeOfDependence:
             entries.append(N(tag, base))
             edges += [EdgEdge(entries[-1], core[0], 1)]
             edges += [EdgEdge(x, y, 1) for x in core for y in core if x != y]
-        edg = EntityDependenceGraph(
+        edg = EntityDependenceGraph.from_edges(
             kind="synthetic", direction="forward",
             nodes=frozenset(e for edge in edges for e in (edge.src, edge.dst)),
             edges=tuple(edges), entry_nodes=frozenset(entries))
@@ -280,9 +301,23 @@ class TestDegreeOfDependence:
         assert _steps_needed(cp_edg, cp_edg.entry_nodes, 2) == 15
         assert _steps_needed(fv_edg, fv_edg.entry_nodes, 1) == 15
 
+    def test_generated_step_counts(self):
+        # Pinned on the cp/faint EDGs that the first 40 seed-42 programs
+        # sweep, so that a budget keeps meaning the same work on built
+        # graphs too.
+        total = 0
+        for index in range(40):
+            pipeline = ProgramPipeline(generate_program(GeneratorConfig(seed=42), index))
+            for kind in ("cp", "faint"):
+                edg = pipeline.edg(kind)
+                if edg.edges and edg.entry_nodes:
+                    total += _steps_needed(edg, edg.entry_nodes,
+                                           pipeline.framework(kind).lattice.height)
+        assert total == 10647
+
     def test_one_sweep_for_all_entry_nodes(self, monkeypatch):
         a, b, c, d, e = (N(f"e{i}", i) for i in range(1, 6))
-        edg = EntityDependenceGraph(
+        edg = EntityDependenceGraph.from_edges(
             kind="synthetic", direction="forward", nodes=frozenset((a, b, c, d, e)),
             edges=(EdgEdge(a, c, 1), EdgEdge(b, c, 2), EdgEdge(c, d, 1),
                    EdgEdge(d, c, 1), EdgEdge(b, e, 0)),
@@ -325,9 +360,9 @@ def _random_edg(rng, nodes=6, density=0.35, max_weight=3):
             edges.append(EdgEdge(src, src, rng.randint(0, max_weight)))
     targets = {e.dst for e in edges}
     entries = frozenset(n for n in node_list if n not in targets)
-    return EntityDependenceGraph(kind="synthetic", direction="forward",
-                                 nodes=frozenset(node_list),
-                                 edges=tuple(edges), entry_nodes=entries)
+    return EntityDependenceGraph.from_edges(kind="synthetic", direction="forward",
+                                            nodes=frozenset(node_list),
+                                            edges=tuple(edges), entry_nodes=entries)
 
 
 class TestAgainstEnumeration:
