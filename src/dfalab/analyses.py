@@ -238,38 +238,31 @@ def make_faint_variables(program: Program,
 # ---------------------------------------------------------------------------
 # renamed definitions and uses
 
-class DefId(NamedTuple):
-    """A definition of `var` at statement `stmt`."""
+class Instance(NamedTuple):
+    """A renamed instance: `var` defined (reach) or used (live) at `stmt`.
+
+    The instances at a statement are the entities its ``cp``
+    (definitions) or ``faint`` (uses) flow function computes, so they
+    are also the EDG nodes.
+    """
 
     var: str
     stmt: int
 
-    def __str__(self) -> str:
+    def __repr__(self) -> str:
         return f"{self.var}_{self.stmt}"
 
 
-class UseId(NamedTuple):
-    """A use of `var` at statement `stmt`."""
-
-    var: str
-    stmt: int
-
-    def __str__(self) -> str:
-        return f"{self.var}_{self.stmt}"
-
-
-def program_definitions(program: Program) -> tuple[DefId, ...]:
-    return tuple(DefId(stmt_target(stmt), node)
+def program_definitions(program: Program) -> tuple[Instance, ...]:
+    return tuple(Instance(stmt_target(stmt), node)
                  for node, stmt in sorted(program.nodes.items())
                  if stmt_target(stmt) is not None)
 
 
-def program_uses(program: Program) -> tuple[UseId, ...]:
-    uses: list[UseId] = []
-    for node, stmt in sorted(program.nodes.items()):
-        for var in sorted(stmt_uses(stmt)):
-            uses.append(UseId(var, node))
-    return tuple(uses)
+def program_uses(program: Program) -> tuple[Instance, ...]:
+    return tuple(Instance(var, node)
+                 for node, stmt in sorted(program.nodes.items())
+                 for var in sorted(stmt_uses(stmt)))
 
 
 def expression_key(stmt: Statement) -> str | None:
@@ -305,6 +298,11 @@ def program_expressions(program: Program) -> tuple[tuple[str, frozenset[str]], .
 # ---------------------------------------------------------------------------
 # bit-vector frameworks
 
+AVAIL_LATTICE = _two_point_lattice(_Token("avail"), _Token("not-avail"))
+REACH_LATTICE = _two_point_lattice(_Token("not-reaching"), _Token("reaching"))
+LIVE_LATTICE = _two_point_lattice(_Token("not-live"), _Token("live"))
+
+
 def make_bitvector_framework(program: Program, kind: str,
                              cfg: ControlFlowGraph | None = None) -> FrameworkInstance:
     """Build one of the separable analyses (avail, reach, live).
@@ -319,16 +317,16 @@ def make_bitvector_framework(program: Program, kind: str,
     if cfg is None:
         cfg = build_cfg(program)
     if kind == AVAIL_KIND:
-        lattice = _two_point_lattice(_Token("avail"), _Token("not-avail"))
+        lattice = AVAIL_LATTICE
         expressions = program_expressions(program)
         entities: tuple = tuple(key for key, _ in expressions)
         direction = FORWARD
     elif kind == REACH_KIND:
-        lattice = _two_point_lattice(_Token("not-reaching"), _Token("reaching"))
+        lattice = REACH_LATTICE
         entities = program_definitions(program)
         direction = FORWARD
     elif kind == LIVE_KIND:
-        lattice = _two_point_lattice(_Token("not-live"), _Token("live"))
+        lattice = LIVE_LATTICE
         entities = program_uses(program)
         direction = BACKWARD
     else:

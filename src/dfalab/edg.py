@@ -19,10 +19,11 @@ When the target of a path lies on its final cycle, the trailing
 partial traversal is absorbed into the last circuit and costs
 nothing.
 
-An EDG is integer adjacency: nodes are numbered in (statement,
-entity) order and each keeps its edges sorted by target, the order in
-which ``build_edg`` writes them.  The ``EntityNode``/``EdgEdge`` views
-are derived from it only when read.
+An EDG is integer adjacency over the renamed instances: node i is
+instance i of the ``reach``/``live`` space, so nodes come in
+(statement, variable) order, and each keeps its edges sorted by
+target, the order in which ``build_edg`` writes them.  The
+``Instance``/``EdgEdge`` views are derived from it only when read.
 
 The production search condenses the EDG into strongly connected
 components and combines exhaustive small searches inside each
@@ -40,13 +41,14 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Hashable, Iterable, NamedTuple, Union
+from typing import Iterable, Union
 
 from .analyses import (
     CP_KIND,
     FAINT_KIND,
     LIVE_KIND,
     REACH_KIND,
+    Instance,
     make_bitvector_framework,
 )
 from .cfg_metrics import FORWARD, SearchBudgetExceeded, WeightTable
@@ -61,35 +63,22 @@ DEFAULT_DELTA_STEP_CAP = 1_000_000
 _DELTA_BUDGET_MESSAGE = "degree-of-dependence enumeration exceeded its step budget"
 
 
-class EntityNode(NamedTuple):
-    """One entity instance: the entity plus its defining/using statement."""
-
-    entity: Hashable
-    stmt: int
-
-    def label(self) -> str:
-        return f"{self.entity}_{self.stmt}"
-
-    def __repr__(self) -> str:
-        return self.label()
-
-
 @dataclass(frozen=True, slots=True)
 class EdgEdge:
-    src: EntityNode
-    dst: EntityNode
+    src: Instance
+    dst: Instance
     weight: int
 
 
-def _node_key(node: EntityNode) -> tuple[int, str]:
-    return (node.stmt, str(node.entity))
+def _node_key(node: Instance) -> tuple[int, str]:
+    return (node.stmt, node.var)
 
 
 @dataclass(frozen=True)
 class EntityDependenceGraph:
     """Nodes and edges of one EDG, as integer adjacency.
 
-    Node i is ``labels[i]``, numbered in (statement, entity) order;
+    Node i is ``labels[i]``, in (statement, variable) order;
     ``adj[i]`` lists its edges as ``(j, weight)`` and ``entries`` the
     entry nodes: in-degree-zero nodes whose flow function yields
     non-top on its own.  No entry node means no information can
@@ -100,14 +89,14 @@ class EntityDependenceGraph:
 
     kind: str
     direction: str
-    labels: list[EntityNode]
+    labels: list[Instance]
     adj: list[list[tuple[int, int]]]
     entries: list[int]
 
     @classmethod
-    def from_edges(cls, kind: str, direction: str, nodes: Iterable[EntityNode],
+    def from_edges(cls, kind: str, direction: str, nodes: Iterable[Instance],
                    edges: Iterable[EdgEdge],
-                   entry_nodes: Iterable[EntityNode]) -> EntityDependenceGraph:
+                   entry_nodes: Iterable[Instance]) -> EntityDependenceGraph:
         """The EDG of given objects; each node keeps its edges in `edges` order."""
         labels = sorted(nodes, key=_node_key)
         number = {node: i for i, node in enumerate(labels)}
@@ -117,7 +106,7 @@ class EntityDependenceGraph:
         return cls(kind, direction, labels, adj, sorted(number[n] for n in entry_nodes))
 
     @cached_property
-    def nodes(self) -> frozenset[EntityNode]:
+    def nodes(self) -> frozenset[Instance]:
         return frozenset(self.labels)
 
     @cached_property
@@ -128,10 +117,10 @@ class EntityDependenceGraph:
                      for u, out in enumerate(self.adj) for v, w in out)
 
     @cached_property
-    def entry_nodes(self) -> frozenset[EntityNode]:
+    def entry_nodes(self) -> frozenset[Instance]:
         return frozenset(self.labels[i] for i in self.entries)
 
-    def index_of(self, node: EntityNode) -> int:
+    def index_of(self, node: Instance) -> int:
         labels = self.labels
         i = bisect_left(labels, _node_key(node), key=_node_key)
         if i == len(labels) or labels[i] != node:
@@ -158,8 +147,9 @@ def build_edg(program: Program, fw: FrameworkInstance, *,
     flow function reads gets an edge to every entity j computes: for
     ``cp`` the definitions reaching j's entry, for ``faint`` the uses
     live at j's exit.  ``renamed`` is the solution of the
-    ``RENAMED_KIND`` analysis, whose set mask bits are those instances;
-    it is solved here when omitted.
+    ``RENAMED_KIND`` analysis: its entities are the EDG nodes and its
+    set mask bits the instances arriving.  It is solved here when
+    omitted.
     """
     if fw.kind not in RENAMED_KIND:
         raise ValueError(f"no EDG construction rule for kind {fw.kind!r}")
@@ -167,40 +157,26 @@ def build_edg(program: Program, fw: FrameworkInstance, *,
         cfg = build_cfg(program)
     if weights is None:
         weights = WeightTable(cfg)
-    # Number the nodes in (statement, entity) order; the entities a
-    # statement computes get consecutive numbers, span[stmt].
-    labels: list[EntityNode] = []
-    number: dict[tuple[Hashable, int], int] = {}
-    span: dict[int, range] = {}
-    candidates: list[int] = []
-    for stmt in sorted(fw.dfpmod):
-        entities = fw.dfpmod[stmt]
-        if len(entities) > 1:
-            entities = sorted(entities, key=str)
-        sources = fw.independent_sources.get(stmt, ())
-        span[stmt] = range(len(labels), len(labels) + len(entities))
-        for entity in entities:
-            number[entity, stmt] = len(labels)
-            if entity in sources:
-                candidates.append(len(labels))
-            labels.append(EntityNode(entity, stmt))
-
     if renamed is None:
         renamed = round_robin_solve(
             make_bitvector_framework(program, RENAMED_KIND[fw.kind], cfg), cfg,
             record_trace=False)
+    # EDG node i is renamed instance i; own[j] lists the instances at
+    # statement j, the entities j computes.
+    labels = list(renamed.space.entities)
+    var_mask: dict[str, int] = {}
+    own: dict[int, list[int]] = {}
+    for i, inst in enumerate(labels):
+        var_mask[inst.var] = var_mask.get(inst.var, 0) | 1 << i
+        own.setdefault(inst.stmt, []).append(i)
     # Weights follow the analysis direction.
     forward = fw.direction == FORWARD
     arriving = renamed.in_values if forward else renamed.out_values
-    instances = renamed.space.entities
-    var_mask: dict[str, int] = {}
-    for i, inst in enumerate(instances):
-        var_mask[inst.var] = var_mask.get(inst.var, 0) | 1 << i
     # (origin node, statement j, weight pair), in ascending j.
     hits: list[tuple[int, int, tuple[int, int]]] = []
     for j in cfg.nodes:
         read = fw.dfpuse[j]
-        if not span[j] or not read:
+        if j not in own or not read:
             continue
         # The renamed instances at bottom whose variable j reads.
         mask = 0
@@ -210,9 +186,9 @@ def build_edg(program: Program, fw: FrameworkInstance, *,
         while mask:
             low = mask & -mask
             mask ^= low
-            inst = instances[low.bit_length() - 1]
-            pair = (inst.stmt, j) if forward else (j, inst.stmt)
-            hits.append((number[inst.var, inst.stmt], j, pair))
+            origin = low.bit_length() - 1
+            stmt = labels[origin].stmt
+            hits.append((origin, j, (stmt, j) if forward else (j, stmt)))
     weights.expect(pair for _, _, pair in hits)
 
     # cfg.nodes ascends, so each list comes out sorted by target.
@@ -222,10 +198,12 @@ def build_edg(program: Program, fw: FrameworkInstance, *,
         if w is None:
             raise RuntimeError(f"renamed instance without a CFG path from {pair[0]} to {pair[1]}")
         out = adj[origin]
-        for v in span[j]:
+        for v in own[j]:
             out.append((v, w))
     targeted = {j for _, j, _ in hits}
-    entries = [i for i in candidates if labels[i].stmt not in targeted]
+    sources = fw.independent_sources
+    entries = [i for i, inst in enumerate(labels)
+               if inst.var in sources[inst.stmt] and inst.stmt not in targeted]
     return EntityDependenceGraph(fw.kind, fw.direction, labels, adj, entries)
 
 
@@ -252,9 +230,9 @@ PathElement = Union[PathSegment, PathCycle]
 
 @dataclass(frozen=True)
 class StructuredPath:
-    origin: EntityNode
+    origin: Instance
     elements: tuple[PathElement, ...]
-    target: EntityNode
+    target: Instance
 
 
 def path_delta(edg: EntityDependenceGraph, path: StructuredPath, h_hat: int) -> int:
@@ -268,10 +246,10 @@ def path_delta(edg: EntityDependenceGraph, path: StructuredPath, h_hat: int) -> 
     known = {(e.src, e.dst): e.weight for e in edg.edges}
     current = path.origin
     visited = {path.origin}
-    anchors: set[EntityNode] = set()
+    anchors: set[Instance] = set()
     segment_sum = 0
     cycle_weights: list[int] = []
-    last_cycle_nodes: frozenset[EntityNode] | None = None
+    last_cycle_nodes: frozenset[Instance] | None = None
 
     for element in path.elements:
         if not element.edges:
@@ -460,9 +438,9 @@ def _scan_component(adj: dict[int, list[tuple[int, int, int]]], h_hat: int,
     return end0, end1, absorbed, steps
 
 
-def delta_vector(edg: EntityDependenceGraph, origins: Iterable[EntityNode],
+def delta_vector(edg: EntityDependenceGraph, origins: Iterable[Instance],
                  h_hat: int, *,
-                 max_steps: int = DEFAULT_DELTA_STEP_CAP) -> dict[EntityNode, int]:
+                 max_steps: int = DEFAULT_DELTA_STEP_CAP) -> dict[Instance, int]:
     """Best propagation cost from any of `origins` to every reachable node.
 
     Condenses the EDG into SCCs, runs the exhaustive structure search

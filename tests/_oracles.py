@@ -24,8 +24,7 @@ from dfalab.analyses import (
     NONCONST,
     NOT_FAINT,
     UNDEF,
-    DefId,
-    UseId,
+    Instance,
     expression_key,
     program_expressions,
 )
@@ -209,22 +208,22 @@ def strongly_live(cfg: ControlFlowGraph) -> tuple[dict[int, frozenset[str]],
 # frameworks, which EDG construction reads to resolve renamed instances.
 
 
-def reaching_definitions(cfg: ControlFlowGraph) -> dict[int, frozenset[DefId]]:
+def reaching_definitions(cfg: ControlFlowGraph) -> dict[int, frozenset[Instance]]:
     """Definitions reaching the entry of each node."""
     program = cfg.program
-    gen: dict[int, frozenset[DefId]] = {}
+    gen: dict[int, frozenset[Instance]] = {}
     for node, stmt in program.nodes.items():
         target = stmt_target(stmt)
-        gen[node] = frozenset() if target is None else frozenset((DefId(target, node),))
+        gen[node] = frozenset() if target is None else frozenset((Instance(target, node),))
 
-    in_sets: dict[int, frozenset[DefId]] = {n: frozenset() for n in cfg.nodes}
-    out_sets: dict[int, frozenset[DefId]] = {n: frozenset() for n in cfg.nodes}
+    in_sets: dict[int, frozenset[Instance]] = {n: frozenset() for n in cfg.nodes}
+    out_sets: dict[int, frozenset[Instance]] = {n: frozenset() for n in cfg.nodes}
     pending = list(cfg.nodes)
     queued = set(pending)
     while pending:
         node = pending.pop(0)
         queued.discard(node)
-        merged: set[DefId] = set()
+        merged: set[Instance] = set()
         for pred in cfg.predecessors[node]:
             merged |= out_sets[pred]
         in_sets[node] = frozenset(merged)
@@ -243,21 +242,21 @@ def reaching_definitions(cfg: ControlFlowGraph) -> dict[int, frozenset[DefId]]:
     return in_sets
 
 
-def live_uses(cfg: ControlFlowGraph) -> dict[int, frozenset[UseId]]:
+def live_uses(cfg: ControlFlowGraph) -> dict[int, frozenset[Instance]]:
     """Renamed uses live at the exit of each node."""
     program = cfg.program
-    gen: dict[int, frozenset[UseId]] = {}
+    gen: dict[int, frozenset[Instance]] = {}
     for node, stmt in program.nodes.items():
-        gen[node] = frozenset(UseId(v, node) for v in stmt_uses(stmt))
+        gen[node] = frozenset(Instance(v, node) for v in stmt_uses(stmt))
 
-    in_sets: dict[int, frozenset[UseId]] = {n: frozenset() for n in cfg.nodes}
-    out_sets: dict[int, frozenset[UseId]] = {n: frozenset() for n in cfg.nodes}
+    in_sets: dict[int, frozenset[Instance]] = {n: frozenset() for n in cfg.nodes}
+    out_sets: dict[int, frozenset[Instance]] = {n: frozenset() for n in cfg.nodes}
     pending = list(reversed(cfg.nodes))
     queued = set(pending)
     while pending:
         node = pending.pop(0)
         queued.discard(node)
-        merged: set[UseId] = set()
+        merged: set[Instance] = set()
         for succ in cfg.successors[node]:
             merged |= in_sets[succ]
         out_sets[node] = frozenset(merged)
@@ -492,7 +491,7 @@ def check_monotonic_entity_dependence(edg, trace, lattice) -> bool:
     """
     influences: dict[tuple[object, int], set[object]] = {}
     for edge in edg.edges:
-        influences.setdefault((edge.dst.entity, edge.dst.stmt), set()).add(edge.src.entity)
+        influences.setdefault((edge.dst.var, edge.dst.stmt), set()).add(edge.src.var)
 
     for record in trace:
         sources = influences.get((record.entity, record.node))

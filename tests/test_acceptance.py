@@ -22,10 +22,9 @@ from dfalab import (
     round_robin_solve,
     worklist_solve,
 )
-from dfalab.analyses import make_faint_variables
+from dfalab.analyses import Instance, make_faint_variables
 from dfalab.bounds import ProgramPipeline
 from dfalab.cfg_metrics import classify_back_edges, depth, max_backedge_acyclic_weight
-from dfalab.edg import EntityNode
 from dfalab.generator import GeneratorConfig, generate_corpus
 
 from _oracles import (
@@ -153,7 +152,7 @@ def test_criterion_4_edg_structure(fig3, fig3_cfg):
     fv = build_edg(fig3, fv_fw, cfg=fig3_cfg)
 
     def N(entity, stmt):
-        return EntityNode(entity, stmt)
+        return Instance(entity, stmt)
 
     cp_nodes_ok = cp.nodes == {N("w", 1), N("x", 5), N("y", 6), N("z", 7), N("w", 8)}
     cp_edges_ok = {(e.src, e.dst) for e in cp.edges} == {

@@ -14,8 +14,7 @@ from dfalab.analyses import (
     NONCONST,
     NOT_FAINT,
     UNDEF,
-    DefId,
-    UseId,
+    Instance,
     cp_transfer,
     make_bitvector_framework,
     make_faint_variables,
@@ -237,13 +236,13 @@ class TestBitVector:
         fw = make_bitvector_framework(fig3, "reach", fig3_cfg)
         solution = round_robin_solve(fw, fig3_cfg, record_trace=False)
         reaching = at_bottom(fw.space, solution.in_values[7])
-        assert {d for d in reaching if d.var == "w"} == {DefId("w", 1), DefId("w", 8)}
+        assert {d for d in reaching if d.var == "w"} == {Instance("w", 1), Instance("w", 8)}
 
     def test_fig3_live_uses_of_x_at_exit5(self, fig3, fig3_cfg):
         fw = make_bitvector_framework(fig3, "live", fig3_cfg)
         solution = round_robin_solve(fw, fig3_cfg, record_trace=False)
         live = at_bottom(fw.space, solution.out_values[5])
-        assert {u for u in live if u.var == "x"} == {UseId("x", 2), UseId("x", 8)}
+        assert {u for u in live if u.var == "x"} == {Instance("x", 2), Instance("x", 8)}
 
     def test_transfers_idempotent(self, fig3, fig3_cfg):
         rng = random.Random(99)
@@ -258,6 +257,11 @@ class TestBitVector:
     def test_unknown_kind(self, fig3):
         with pytest.raises(ValueError):
             make_bitvector_framework(fig3, "mystery")
+
+    @pytest.mark.parametrize("kind", ["avail", "reach", "live"])
+    def test_builds_share_one_lattice(self, fig3, fig3_swap, kind):
+        assert (make_bitvector_framework(fig3, kind).lattice
+                is make_bitvector_framework(fig3_swap, kind).lattice)
 
 
 def test_all_five_analyses_are_monotonic(fig3, fig3_cfg):
@@ -299,11 +303,11 @@ class TestRenamedSetAnalyses:
 
     def test_fig3_reaching(self, fig3_cfg):
         sets = reaching_definitions(fig3_cfg)
-        assert {d for d in sets[7] if d.var == "w"} == {DefId("w", 1), DefId("w", 8)}
+        assert {d for d in sets[7] if d.var == "w"} == {Instance("w", 1), Instance("w", 8)}
 
     def test_fig3_live(self, fig3_cfg):
         sets = live_uses(fig3_cfg)
-        assert {u for u in sets[5] if u.var == "x"} == {UseId("x", 2), UseId("x", 8)}
+        assert {u for u in sets[5] if u.var == "x"} == {Instance("x", 2), Instance("x", 8)}
 
 
 class TestMaskFrameworksMatchTupleReference:

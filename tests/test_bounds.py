@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -12,6 +13,10 @@ from dfalab import (
 )
 from dfalab import bounds
 from dfalab.bounds import CSV_HEADER, ProgramPipeline, edg_bound, simplistic_bound
+
+# sha256 of the CSV report over the seed-7, 300-program irreducible
+# corpus (`--nodes 40 --irreducible 0.05`), all five kinds.
+IRREDUCIBLE_REPORT_SHA256 = "8e4ad5d2630471d053941693b1f5cd22c962362e85c2364256319fde719c8a2f"
 
 
 @pytest.mark.parametrize("d,H,expected", [(3, 8, 25), (3, 4, 13), (0, 17, 1), (0, 0, 1)])
@@ -134,15 +139,17 @@ def test_irreducible_corpus_meets_every_bound():
     """Visiting in DFS reverse postorder keeps I within the d-based bounds.
 
     Id-order visits broke a bound on 78 of these 1,500 records, among
-    them p0005 avail (d=2, B2=3, I=4).
+    them p0005 avail (d=2, B2=3, I=4).  The report bytes are pinned
+    too: the sha256 of the CSV report over every record, by program
+    and then in ANALYSIS_KINDS order, as ``dfalab corpus`` writes it.
     """
     config = GeneratorConfig(seed=7, node_budget=40, irreducible_edge_probability=0.05)
-    violated = []
+    records = []
     for program in generate_corpus(config, 300):
         pipeline = ProgramPipeline(program)
-        violated += [(program.name, kind) for kind in ANALYSIS_KINDS
-                     if pipeline.record(kind).bound_violated]
+        records += [pipeline.record(kind) for kind in ANALYSIS_KINDS]
         if program.name == "p0005":
             avail = pipeline.record("avail")
             assert (avail.d, avail.b2, avail.iterations) == (2, 3, 3)
-    assert violated == []
+    assert [(r.program, r.analysis) for r in records if r.bound_violated] == []
+    assert hashlib.sha256(emit_report(records)).hexdigest() == IRREDUCIBLE_REPORT_SHA256

@@ -17,6 +17,7 @@ from dfalab.analyses import (
     CP_LATTICE,
     NONCONST,
     UNDEF,
+    Instance,
     make_bitvector_framework,
     make_faint_variables,
 )
@@ -25,7 +26,6 @@ from dfalab.cfg_metrics import WeightTable, max_backedge_acyclic_weight
 from dfalab.edg import (
     EdgEdge,
     EntityDependenceGraph,
-    EntityNode,
     MalformedPathError,
     PathCycle,
     PathSegment,
@@ -41,7 +41,7 @@ from conftest import chain_program
 
 
 def N(entity, stmt):
-    return EntityNode(entity, stmt)
+    return Instance(entity, stmt)
 
 
 def edge_map(edg):
@@ -139,7 +139,7 @@ class TestFig3Structure:
         # derived edges come out sorted, and rebuilding it from them
         # gives back the same adjacency.
         def key(edge):
-            return (edge.src.stmt, str(edge.src.entity), edge.dst.stmt, str(edge.dst.entity))
+            return (edge.src.stmt, str(edge.src.var), edge.dst.stmt, str(edge.dst.var))
 
         for edg in (cp_edg, fv_edg):
             assert edg.edges == tuple(sorted(edg.edges, key=key))
@@ -168,6 +168,30 @@ class TestFig3Structure:
                         else (edge.dst.stmt, edge.src.stmt))
                 assert edge.weight == max_backedge_acyclic_weight(cfg, *pair)
                 assert edge.weight <= table.depth
+
+
+class TestNodesAreRenamedInstances:
+    """The instances at statement j are the entities j's flow function
+    computes, which lets EDG node i be renamed instance i."""
+
+    @pytest.fixture(scope="class")
+    def programs(self, fig3, fig3_swap):
+        reducible = GeneratorConfig(seed=23, node_budget=30)
+        irreducible = GeneratorConfig(seed=31, node_budget=30,
+                                      irreducible_edge_probability=0.3)
+        return ([fig3, fig3_swap]
+                + [generate_program(reducible, i) for i in range(4)]
+                + [generate_program(irreducible, i) for i in range(4)])
+
+    @pytest.mark.parametrize("kind", ["cp", "faint"])
+    def test_labels_are_the_renamed_space(self, programs, kind):
+        for program in programs:
+            pipeline = ProgramPipeline(program)
+            fw = pipeline.framework(kind)
+            instances = pipeline.framework(edg_module.RENAMED_KIND[kind]).space.entities
+            for j, computed in fw.dfpmod.items():
+                assert computed == {i.var for i in instances if i.stmt == j}, (program.name, j)
+            assert pipeline.edg(kind).labels == list(instances), program.name
 
 
 class TestPathDelta:
@@ -434,7 +458,7 @@ class TestConditionTen:
 class TestExport:
     def test_fig3_cp_golden(self, cp_edg):
         # Edges come sorted by source statement, then target statement.
-        assert [(e.src.label(), e.dst.label(), e.weight) for e in cp_edg.edges] == [
+        assert [(repr(e.src), repr(e.dst), e.weight) for e in cp_edg.edges] == [
             ("w_1", "z_7", 0),
             ("x_5", "w_8", 0),
             ("y_6", "x_5", 1),
