@@ -13,8 +13,10 @@ serialized, byte-identical files.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Mapping
 
 from .ir import (
@@ -46,7 +48,9 @@ class GeneratorConfig:
 
     ``variable_count`` may be a fixed int or an inclusive (lo, hi)
     range sampled per program.  ``node_budget`` bounds the node count
-    from above; the structural builder may stop short.  Out-of-range
+    from above; the structural builder may stop short.  ``stmt_weights``
+    maps statement kinds of ``DEFAULT_STMT_WEIGHTS`` to finite,
+    non-negative weights with a positive, finite total.  Out-of-range
     values raise ValueError.
     """
 
@@ -66,6 +70,21 @@ class GeneratorConfig:
         if not 0.0 <= self.irreducible_edge_probability <= 1.0:
             raise ValueError("irreducible edge probability must lie in [0, 1], "
                              f"got {self.irreducible_edge_probability}")
+        count = self.variable_count
+        lo, hi = count if isinstance(count, tuple) else (count, count)
+        if lo > hi:
+            raise ValueError(f"variable count range {count} is empty")
+        if lo < 1:
+            raise ValueError(f"variable count must be at least 1, got {count}")
+        for kind, weight in self.stmt_weights.items():
+            if kind not in DEFAULT_STMT_WEIGHTS:
+                raise ValueError(f"statement weights name unknown kind {kind!r}; "
+                                 f"the kinds are {', '.join(DEFAULT_STMT_WEIGHTS)}")
+            if not (math.isfinite(weight) and weight >= 0):
+                raise ValueError(f"statement weight of {kind!r} must be finite "
+                                 f"and non-negative, got {weight}")
+        if not 0 < sum(self.stmt_weights.values()) < math.inf:
+            raise ValueError("statement weights must have a positive, finite total")
 
 
 class _Builder:
@@ -76,14 +95,18 @@ class _Builder:
         count = config.variable_count
         if isinstance(count, tuple):
             count = rng.randint(count[0], count[1])
-        if count < 1:
-            raise ValueError("need at least one variable")
         self.variables = tuple(
             _VAR_POOL[i] if i < len(_VAR_POOL) else f"v{i}" for i in range(count))
         self.nodes: dict[int, Statement] = {}
+        # Edges in the order they were first connected, and the same
+        # edges as a set for the duplicate test.
         self.edges: list[tuple[int, int]] = []
+        self.edge_set: set[tuple[int, int]] = set()
         self.kinds = list(config.stmt_weights.keys())
-        self.weights = [float(config.stmt_weights[k]) for k in self.kinds]
+        # The running sums that rng.choices(weights=...) would build on
+        # every draw; the draw itself is the same single random() call.
+        self.cum_weights = list(accumulate(
+            float(config.stmt_weights[k]) for k in self.kinds))
 
     def fresh_node(self, stmt: Statement) -> int:
         node_id = len(self.nodes) + 1
@@ -91,11 +114,13 @@ class _Builder:
         return node_id
 
     def connect(self, src: int, dst: int) -> None:
-        if (src, dst) not in self.edges:
-            self.edges.append((src, dst))
+        edge = (src, dst)
+        if edge not in self.edge_set:
+            self.edge_set.add(edge)
+            self.edges.append(edge)
 
     def random_stmt(self) -> Statement:
-        kind = self.rng.choices(self.kinds, weights=self.weights, k=1)[0]
+        kind = self.rng.choices(self.kinds, cum_weights=self.cum_weights, k=1)[0]
         rng = self.rng
         var = lambda: rng.choice(self.variables)
         if kind == "const":
@@ -117,14 +142,14 @@ class _Builder:
         head = self.fresh_node(self.random_stmt())
         tail = self.sequence(head, self.config.node_budget - 1, self.config.loop_depth)
         self.maybe_add_extra_edges(tail)
+        sources = {src for src, _ in self.edges}
         return Program(
             name=self.name,
             variables=self.variables,
-            nodes=dict(sorted(self.nodes.items())),
+            nodes=self.nodes,
             edges=tuple(self.edges),
             entry=1,
-            exits=frozenset(
-                n for n in self.nodes if all(s != n for s, _ in self.edges)),
+            exits=frozenset(n for n in self.nodes if n not in sources),
         )
 
     def sequence(self, tail: int, budget: int, loop_depth: int) -> int:
@@ -177,13 +202,15 @@ class _Builder:
         prob = self.config.irreducible_edge_probability
         if prob <= 0:
             return
-        ids = sorted(self.nodes)
-        for src in ids:
+        last = len(self.nodes)  # node ids are 1..last
+        for src in range(1, last + 1):
             if src == final_tail:
                 continue
             if self.rng.random() < prob:
-                dst = self.rng.choice([n for n in ids if n != src])
-                self.connect(src, dst)
+                # The draw of rng.choice over the ids other than src,
+                # without building that list.
+                dst = self.rng.randrange(1, last)
+                self.connect(src, dst if dst < src else dst + 1)
 
 
 def generate_program(config: GeneratorConfig, index: int = 0,

@@ -52,19 +52,19 @@ def wrap64(value: int) -> int:
 # statements
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConstAssign:
     target: str
     value: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CopyAssign:
     target: str
     source: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BinAssign:
     target: str
     left: Union[str, int]
@@ -72,17 +72,17 @@ class BinAssign:
     right: Union[str, int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReadAssign:
     target: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Print:
     source: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Skip:
     pass
 

@@ -204,6 +204,8 @@ class TestGenerate:
         (["--count", "0"], "count must be positive"),
         (["--vars", "8-4"], "range '8-4' is empty"),
         (["--vars", "x"], "--vars expects a count"),
+        (["--vars", "0"], "variable count must be at least 1, got 0"),
+        (["--vars", "0-3"], "variable count must be at least 1, got (0, 3)"),
         (["--nodes", "0"], "node budget must be at least 1"),
         (["--loops", "-1"], "loop depth must be non-negative"),
         (["--irreducible", "2"], "irreducible edge probability must lie in [0, 1]"),

@@ -40,6 +40,12 @@ class TestParse:
         assert fig3.nodes[5] == BinAssign("x", "y", "+", 2)
         assert fig3.nodes[7] == BinAssign("z", "w", "-", 1)
 
+    def test_statements_have_slots_not_dicts(self):
+        # Statements are slotted: a corpus holds many of them.
+        stmts = [ConstAssign("x", 1), CopyAssign("x", "y"), BinAssign("x", "y", "+", 2),
+                 ReadAssign("x"), Print("x"), Skip()]
+        assert not any(hasattr(stmt, "__dict__") for stmt in stmts)
+
     def test_fig3_defaults(self, fig3):
         assert fig3.entry == 1
         assert fig3.exits == frozenset()
