@@ -98,10 +98,9 @@ class _Builder:
         self.variables = tuple(
             _VAR_POOL[i] if i < len(_VAR_POOL) else f"v{i}" for i in range(count))
         self.nodes: dict[int, Statement] = {}
-        # Edges in the order they were first connected, and the same
-        # edges as a set for the duplicate test.
-        self.edges: list[tuple[int, int]] = []
-        self.edge_set: set[tuple[int, int]] = set()
+        # An ordered set: a dict keeps its keys in the order they were
+        # first connected, and connecting an edge again adds nothing.
+        self.edges: dict[tuple[int, int], None] = {}
         self.kinds = list(config.stmt_weights.keys())
         # The running sums that rng.choices(weights=...) would build on
         # every draw; the draw itself is the same single random() call.
@@ -114,10 +113,7 @@ class _Builder:
         return node_id
 
     def connect(self, src: int, dst: int) -> None:
-        edge = (src, dst)
-        if edge not in self.edge_set:
-            self.edge_set.add(edge)
-            self.edges.append(edge)
+        self.edges[src, dst] = None
 
     def random_stmt(self) -> Statement:
         kind = self.rng.choices(self.kinds, cum_weights=self.cum_weights, k=1)[0]
