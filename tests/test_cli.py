@@ -204,11 +204,11 @@ class TestGenerate:
         (["--count", "0"], "count must be positive"),
         (["--vars", "8-4"], "range '8-4' is empty"),
         (["--vars", "x"], "--vars expects a count"),
-        (["--vars", "0"], "variable count must be at least 1, got 0"),
-        (["--vars", "0-3"], "variable count must be at least 1, got (0, 3)"),
         (["--nodes", "0"], "node budget must be at least 1"),
         (["--loops", "-1"], "loop depth must be non-negative"),
         (["--irreducible", "2"], "irreducible edge probability must lie in [0, 1]"),
+        (["--vars", "0"], "variable count must be at least 1, got 0"),
+        (["--vars", "0-3"], "variable count must be at least 1, got (0, 3)"),
     ])
     def test_bad_arguments_fail_in_one_line(self, tmp_path, capsys, flags, message):
         out = tmp_path / "corpus"
