@@ -111,37 +111,57 @@ _ARITH: dict[str, Callable[[int, int], int]] = {
 }
 
 
-def _cp_operand(value: Value, index: Mapping[str, int], operand: str | int) -> CPValue:
-    return operand if isinstance(operand, int) else value[index[operand]]
+def _identity(value: Value) -> Value:
+    return value
 
 
-def cp_transfer(stmt: Statement, value: Value, index: Mapping[str, int]) -> Value:
-    """Abstract effect of one statement on per-variable constancy.
+def cp_transfer(stmt: Statement, index: Mapping[str, int]) -> Callable[[Value], Value]:
+    """Abstract effect of one statement on per-variable constancy, as a function.
 
-    ``index`` maps each variable to its position in ``value``.  Binary
-    operators evaluate concretely when both operands are constants
-    (wrapping at 64 bits); a nonconst operand forces nonconst,
-    otherwise an undef operand leaves the result undef.
+    ``index`` maps each variable to its position in a value; the
+    returned function reads only the operand positions and writes only
+    the target's.  Binary operators evaluate concretely when both
+    operands are constants (wrapping at 64 bits); a nonconst operand
+    forces nonconst, otherwise an undef operand leaves the result undef.
+    Statements that compute nothing share one identity function.
     """
-    if isinstance(stmt, ConstAssign):
-        result: CPValue = wrap64(stmt.value)
-    elif isinstance(stmt, ReadAssign):
-        result = NONCONST
-    elif isinstance(stmt, CopyAssign):
-        result = value[index[stmt.source]]
-    elif isinstance(stmt, BinAssign):
-        left = _cp_operand(value, index, stmt.left)
-        right = _cp_operand(value, index, stmt.right)
-        if left is NONCONST or right is NONCONST:
-            result = NONCONST
-        elif left is UNDEF or right is UNDEF:
-            result = UNDEF
-        else:
-            result = wrap64(_ARITH[stmt.op](left, right))
-    else:
-        return value
+    if not isinstance(stmt, ASSIGNMENTS):
+        return _identity
     i = index[stmt.target]
-    return value[:i] + (result,) + value[i + 1:]
+    if isinstance(stmt, CopyAssign):
+        return lambda v, i=i, j=i + 1, s=index[stmt.source]: v[:i] + (v[s],) + v[j:]
+    if isinstance(stmt, BinAssign):
+        op, left, right = _ARITH[stmt.op], stmt.left, stmt.right
+        if isinstance(left, str) and isinstance(right, str):
+            def binop(v: Value, i=i, j=i + 1, a=index[left], b=index[right], op=op) -> Value:
+                x, y = v[a], v[b]
+                if x is NONCONST or y is NONCONST:
+                    r = NONCONST
+                elif x is UNDEF or y is UNDEF:
+                    r = UNDEF
+                else:
+                    r = wrap64(op(x, y))
+                return v[:i] + (r,) + v[j:]
+            return binop
+        if isinstance(left, str) or isinstance(right, str):
+            # One variable operand: its undef or nonconst is the result.
+            var_left = isinstance(left, str)
+
+            def mixed(v: Value, i=i, j=i + 1, a=index[left if var_left else right],
+                      c=right if var_left else left, op=op, var_left=var_left) -> Value:
+                x = v[a]
+                if x is NONCONST or x is UNDEF:
+                    r = x
+                else:
+                    r = wrap64(op(x, c) if var_left else op(c, x))
+                return v[:i] + (r,) + v[j:]
+            return mixed
+        result: CPValue = wrap64(op(left, right))
+    elif isinstance(stmt, ConstAssign):
+        result = wrap64(stmt.value)
+    else:  # ReadAssign
+        result = NONCONST
+    return lambda v, i=i, j=i + 1, r=result: v[:i] + (r,) + v[j:]
 
 
 def make_constant_propagation(program: Program,
@@ -154,21 +174,21 @@ def make_constant_propagation(program: Program,
     dfpmod: dict[int, frozenset] = {}
     dfpuse: dict[int, frozenset] = {}
     sources: dict[int, frozenset] = {}
+    empty: frozenset = frozenset()
     for node, stmt in program.nodes.items():
-        transfers[node] = (lambda v, s=stmt: cp_transfer(s, v, space.index))
-        target = stmt_target(stmt)
-        if target is not None:
-            dfpmod[node] = frozenset((target,))
-            dfpuse[node] = stmt_uses(stmt)
+        transfers[node] = cp_transfer(stmt, space.index)
+        if isinstance(stmt, ASSIGNMENTS):
+            defined = frozenset((stmt.target,))
+            uses = stmt_uses(stmt)
+            dfpmod[node] = defined
+            dfpuse[node] = uses
             # Constants, reads, and literal-only binops yield a non-top
             # value no matter what flows in.
-            independent = (isinstance(stmt, (ConstAssign, ReadAssign))
-                           or (isinstance(stmt, BinAssign) and not stmt_uses(stmt)))
-            sources[node] = frozenset((target,)) if independent else frozenset()
+            independent = isinstance(stmt, (ConstAssign, ReadAssign)) or (
+                isinstance(stmt, BinAssign) and not uses)
+            sources[node] = defined if independent else empty
         else:
-            dfpmod[node] = frozenset()
-            dfpuse[node] = frozenset()
-            sources[node] = frozenset()
+            dfpmod[node] = dfpuse[node] = sources[node] = empty
     return FrameworkInstance(
         kind=CP_KIND, direction=FORWARD, space=space, transfers=transfers,
         dfpmod=dfpmod, dfpuse=dfpuse, independent_sources=sources)
@@ -228,7 +248,7 @@ def make_faint_variables(program: Program,
             dfpmod[node] = sources[node] = alone[stmt.source]
             dfpuse[node] = empty
         else:
-            transfers[node] = lambda v: v
+            transfers[node] = _identity
             dfpmod[node] = dfpuse[node] = sources[node] = empty
     return FrameworkInstance(
         kind=FAINT_KIND, direction=BACKWARD, space=space, transfers=transfers,
@@ -254,15 +274,19 @@ class Instance(NamedTuple):
 
 
 def program_definitions(program: Program) -> tuple[Instance, ...]:
-    return tuple(Instance(stmt_target(stmt), node)
+    return tuple(Instance(stmt.target, node)
                  for node, stmt in sorted(program.nodes.items())
-                 if stmt_target(stmt) is not None)
+                 if isinstance(stmt, ASSIGNMENTS))
 
 
 def program_uses(program: Program) -> tuple[Instance, ...]:
-    return tuple(Instance(var, node)
-                 for node, stmt in sorted(program.nodes.items())
-                 for var in sorted(stmt_uses(stmt)))
+    uses: list[Instance] = []
+    for node, stmt in sorted(program.nodes.items()):
+        names = stmt_uses(stmt)
+        # A statement reads at most two names; only a pair needs sorting.
+        for var in sorted(names) if len(names) > 1 else names:
+            uses.append(Instance(var, node))
+    return tuple(uses)
 
 
 def expression_key(stmt: Statement) -> str | None:
@@ -356,7 +380,8 @@ def make_bitvector_framework(program: Program, kind: str,
             gen = killed
         else:
             keep, gen = ~killed, own_mask.get(node, 0)
-        transfers[node] = lambda v, keep=keep, gen=gen: v & keep | gen
+        transfers[node] = (lambda v, keep=keep, gen=gen: v & keep | gen) \
+            if keep != -1 or gen else _identity
 
     # Separable: no transfer reads an entity, so no dependences to declare.
     return FrameworkInstance(

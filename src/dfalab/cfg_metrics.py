@@ -13,17 +13,21 @@ only the counted back edges against the visit order (Kam & Ullman
 The depth d is the maximum number of back edges on any node-simple
 path; the weight of a statement pair asks the same question for paths
 between the two.  Both are exact backtracking searches over the
-indices of ``cfg.nodes`` with int-bitmask node sets.  Weights are
-searched once per source: one search from a statement enters only
-nodes that reach one of its open targets (closures built once per
-CFG), records the weight at every target it passes without stopping
-there, and closes a target once it attains its bound.  The bound
-counts the back edges a path to the target could take, each one
-whose tail the source reaches without passing its head and whose head
-reaches the target, capped at d; a target whose bound is 0 needs no
-search.  A node cap of 64 rejects inputs where exactness is no longer
-desk-scale, and a budget of ten million steps bounds the depth search
-and each source's weight search.
+indices of ``cfg.nodes`` with int-bitmask node sets.  The depth search
+prunes with a free-head bound: a node-simple path enters each head at
+most once, so from node x it can gain at most one back edge per
+unvisited head h of a back edge (l, h) whose tail l x reaches without
+passing h.  Those "behind" sets are built once per CFG and also bound
+the weight searches.  Weights are searched once per source: one
+search from a statement enters only nodes that reach one of its open
+targets (closures built once per CFG), records the weight at every
+target it passes without stopping there, and closes a target once it
+attains its bound.  The bound counts the back edges a path to the
+target could take, each one whose tail the source reaches without
+passing its head and whose head reaches the target, capped at d; a
+target whose bound is 0 needs no search.  A node cap of 64 rejects
+inputs where exactness is no longer desk-scale, and a budget of ten
+million steps bounds the depth search and each source's weight search.
 """
 
 from __future__ import annotations
@@ -53,30 +57,24 @@ def depth_first_search(cfg: ControlFlowGraph) -> tuple[frozenset[tuple[int, int]
 
 
 def _dfs(cfg: ControlFlowGraph) -> tuple[frozenset[tuple[int, int]], tuple[int, ...]]:
-    visited: set[int] = set()
-    on_stack: set[int] = set()
+    successors = cfg.successors
+    visited = {cfg.entry}
+    on_stack = {cfg.entry}
     back: set[tuple[int, int]] = set()
     postorder: list[int] = []
-    # Explicit stack of (node, successor iterator position) to avoid
-    # recursion limits on long chains.
-    stack: list[tuple[int, int]] = []
-
-    def push(node: int) -> None:
-        visited.add(node)
-        on_stack.add(node)
-        stack.append((node, 0))
-
-    push(cfg.entry)
+    # Explicit stack of (node, iterator over its remaining successors)
+    # to avoid recursion limits on long chains.
+    stack = [(cfg.entry, iter(successors[cfg.entry]))]
     while stack:
-        node, idx = stack[-1]
-        succs = cfg.successors[node]
-        if idx < len(succs):
-            stack[-1] = (node, idx + 1)
-            nxt = succs[idx]
+        node, rest = stack[-1]
+        for nxt in rest:
             if nxt in on_stack:
                 back.add((node, nxt))
             elif nxt not in visited:
-                push(nxt)
+                visited.add(nxt)
+                on_stack.add(nxt)
+                stack.append((nxt, iter(successors[nxt])))
+                break
         else:
             stack.pop()
             on_stack.discard(node)
@@ -108,13 +106,17 @@ def _check_node_cap(cfg: ControlFlowGraph) -> None:
 def _closure(neighbours: list[list[int]], order: list[int]) -> list[int]:
     """Mask of the nodes reachable from each node along `neighbours`, itself included."""
     masks = [1 << i for i in range(len(neighbours))]
-    while True:
-        before = masks[:]
+    changed = True
+    while changed:
+        changed = False
         for i in order:
+            mask = masks[i]
             for j in neighbours[i]:
-                masks[i] |= masks[j]
-        if masks == before:
-            return masks
+                mask |= masks[j]
+            if mask != masks[i]:
+                masks[i] = mask
+                changed = True
+    return masks
 
 
 def depth(cfg: ControlFlowGraph, *, table: WeightTable | None = None) -> int:
@@ -123,36 +125,31 @@ def depth(cfg: ControlFlowGraph, *, table: WeightTable | None = None) -> int:
     if table is None:
         table = WeightTable(cfg)
     succ = table.succ
-    # counts[i] back edges leave node i; the unvisited nodes' counts
-    # bound what a path can still gain.
-    counts = [0] * len(succ)
-    for src, _ in table.back_pairs:
-        counts[src] += 1
+    heads = table.heads_ahead
     cap = DEFAULT_STEP_CAP
     steps = 0
     best = 0
 
-    def extend(node: int, free: int, weight: int, remaining: int) -> None:
+    def extend(node: int, free: int, weight: int) -> None:
         nonlocal best, steps
         steps += 1
         if steps > cap:
             raise SearchBudgetExceeded(f"depth search exceeded {cap} steps")
         if weight > best:
             best = weight
-        # Upper bound: every back edge leaving an unvisited node or this one.
-        if weight + remaining + counts[node] <= best:
+        # Upper bound: one back edge into each unvisited head that a
+        # back edge from here could still enter.
+        if weight + (heads[node] & free).bit_count() <= best:
             return
         for nxt, bit, back in succ[node]:
             if free & bit:
-                extend(nxt, free ^ bit, weight + back, remaining - counts[nxt])
+                extend(nxt, free ^ bit, weight + back)
 
     # A maximum-weight path can be trimmed to start at a back-edge
     # source, so only those starting points need searching.
-    total = sum(counts)
     everything = (1 << len(succ)) - 1
-    for start, count in enumerate(counts):
-        if count:
-            extend(start, everything & ~(1 << start), 0, total - count)
+    for start in sorted({tail for tail, _ in table.back_pairs}):
+        extend(start, everything & ~(1 << start), 0)
     return best
 
 
@@ -293,29 +290,39 @@ class WeightTable:
 
     def __init__(self, cfg: ControlFlowGraph):
         self.cfg = cfg
-        self.back_edges = classify_back_edges(cfg)
+        self.back_edges = back_edges = classify_back_edges(cfg)
         self.index = index = {node: i for i, node in enumerate(cfg.nodes)}
-        self.succ = [[(index[dst], 1 << index[dst], int((src, dst) in self.back_edges))
-                      for dst in cfg.successors[src]] for src in cfg.nodes]
-        self.back_pairs = sorted((index[src], index[dst]) for src, dst in self.back_edges)
+        self.succ: list[list[tuple[int, int, int]]] = [[] for _ in cfg.nodes]
+        # Plain successor and predecessor indices, for the closures.
+        self._succs: list[list[int]] = [[] for _ in cfg.nodes]
+        self._preds: list[list[int]] = [[] for _ in cfg.nodes]
+        for i, node in enumerate(cfg.nodes):
+            for dst in cfg.successors[node]:
+                j = index[dst]
+                self.succ[i].append((j, 1 << j, int((node, dst) in back_edges)))
+                self._succs[i].append(j)
+                self._preds[j].append(i)
+        self.back_pairs = sorted((index[src], index[dst]) for src, dst in back_edges)
         self._cache: dict[tuple[int, int], int | None] = {}
         # Source node -> indices of the targets announced for it.
         self._expected: dict[int, set[int]] = {}
-
-    @cached_property
-    def _neighbours(self) -> tuple[list[list[int]], list[list[int]]]:
-        """Successor and predecessor indices of every node."""
-        preds = [[self.index[p] for p in self.cfg.predecessors[node]]
-                 for node in self.cfg.nodes]
-        return [[j for j, _, _ in out] for out in self.succ], preds
 
     @cached_property
     def closures(self) -> tuple[list[int], list[int]]:
         """Reach and co-reach masks of every node, each from one fixpoint."""
         # Every node is on the DFS; (reverse) postorder sweeps settle fast.
         rpo = [self.index[node] for node in depth_first_search(self.cfg)[1]]
-        succs, preds = self._neighbours
-        return _closure(succs, rpo[::-1]), _closure(preds, rpo)
+        return _closure(self._succs, rpo[::-1]), _closure(self._preds, rpo)
+
+    @cached_property
+    def behind(self) -> list[int]:
+        """For each back edge (l, h) of ``back_pairs``, the nodes that reach l avoiding h.
+
+        A node-simple path takes (l, h) only from one of these nodes,
+        since it enters h once, by that edge.  A self-loop is on no path.
+        """
+        return [_reach_avoiding(self._preds, tail, head) if tail != head else 0
+                for tail, head in self.back_pairs]
 
     @cached_property
     def usable(self) -> list[tuple[int, int]]:
@@ -324,12 +331,28 @@ class WeightTable:
         A path takes back edge (l, h) only if it reaches l without
         passing h and then goes on from h.  So edge b gets the masks of
         the nodes that reach l avoiding h and of the nodes that h
-        reaches.  A self-loop is on no path.
+        reaches.
         """
-        preds = self._neighbours[1]
         reach_of = self.closures[0]
-        return [(_reach_avoiding(preds, tail, head), reach_of[head])
-                if tail != head else (0, 0) for tail, head in self.back_pairs]
+        return [(behind, reach_of[head]) if tail != head else (0, 0)
+                for behind, (tail, head) in zip(self.behind, self.back_pairs)]
+
+    @cached_property
+    def heads_ahead(self) -> list[int]:
+        """Per node, the mask of heads of the back edges a path from it can take.
+
+        A node-simple path from x enters each head at most once, so
+        the unvisited heads here bound the back edges it can still
+        take.
+        """
+        heads = [0] * len(self.succ)
+        for behind, (_, head) in zip(self.behind, self.back_pairs):
+            bit = 1 << head
+            while behind:
+                low = behind & -behind
+                behind ^= low
+                heads[low.bit_length() - 1] |= bit
+        return heads
 
     def expect(self, pairs: Iterable[tuple[int, int]]) -> None:
         """Announce pairs that `weight` will be asked for.

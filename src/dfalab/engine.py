@@ -13,7 +13,10 @@ Two solvers are provided:
 
 * ``round_robin_solve`` sweeps all nodes in a fixed order until a full
   pass changes nothing, counting passes.  This is the measured
-  quantity that the iteration bounds predict.
+  quantity that the iteration bounds predict.  After the first pass
+  it skips a node whose merged input equals the one it saw on its
+  last visit: the transfer would return what it returned then, so the
+  values, pass count and trace are those of visiting every node.
 * ``worklist_solve`` is an independent fixed-point oracle; it must
   reach the same solution but its effort is reported as node visits.
 
@@ -21,6 +24,10 @@ Iteration counting: a solve always ends with one pass in which no
 value changes.  ``iterations`` (the measured I) leaves that final
 verification pass out, which reproduces the fixture iteration counts
 exactly; ``passes_executed`` counts it.
+
+Transfers must be pure functions of their input value: the same
+input always gives an equal output, and no transfer keeps state
+between calls.  Both solvers rely on it.
 
 Every program point starts at top, the identity of every meet, the
 entry node (forward) and the exit nodes (backward) included.  Solvers
@@ -77,7 +84,7 @@ class EntitySpace:
         if a == b:
             return a
         meet = self.lattice.meet
-        return tuple(x if x is y else meet(x, y) for x, y in zip(a, b))
+        return tuple([x if x is y else meet(x, y) for x, y in zip(a, b)])
 
     def components(self, value: Value) -> tuple:
         """The value's lattice elements, in ``entities`` order."""
@@ -221,11 +228,13 @@ def round_robin_solve(fw: FrameworkInstance, cfg: ControlFlowGraph, *,
     ``passes_executed``; ``iterations`` leaves it out (at least 1).
     """
     view = _direction_view(fw, cfg)
-    top = fw.space.top
+    space = fw.space
+    top = space.top
     before: dict[int, Value] = {n: top for n in cfg.nodes}
     after: dict[int, Value] = {n: top for n in cfg.nodes}
     trace: list[TraceRecord] = []
     budget = _pass_budget(fw, cfg)
+    visits = [(node, view.inputs[node], fw.transfers[node]) for node in view.order]
 
     passes = 0
     while True:
@@ -235,14 +244,20 @@ def round_robin_solve(fw: FrameworkInstance, cfg: ControlFlowGraph, *,
                 f"{fw.kind}: no fixed point after {budget} passes; "
                 "check transfer monotonicity")
         changed = False
-        for node in view.order:
+        # Every node is visited in pass 1.  From then on, a node whose
+        # merged input is the one it last saw would return the value it
+        # returned then (transfers are pure), so its visit is skipped.
+        skip = passes > 1
+        for node, inputs, transfer in visits:
+            merged = after[inputs[0]] if len(inputs) == 1 else _merge(space, inputs, after)
             # A pass counts as changing when any program-point value
             # moves, merged inputs included, not only transfer outputs.
-            merged = _merge(fw.space, view.inputs[node], after)
             if merged != before[node]:
                 changed = True
                 before[node] = merged
-            new = fw.transfers[node](merged)
+            elif skip:
+                continue
+            new = transfer(merged)
             old = after[node]
             if new != old:
                 changed = True
@@ -260,11 +275,9 @@ def round_robin_solve(fw: FrameworkInstance, cfg: ControlFlowGraph, *,
 
 def _merge(space: EntitySpace, inputs: tuple[int, ...],
            after: dict[int, Value]) -> Value:
-    if len(inputs) == 1:
-        return after[inputs[0]]
     if not inputs:
         return space.top
-    return reduce(space.meet, [after[m] for m in inputs])
+    return reduce(space.meet, map(after.__getitem__, inputs))
 
 
 def _record_changes(trace: list[TraceRecord], pass_no: int, node: int,

@@ -17,6 +17,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from itertools import accumulate
+from types import MappingProxyType
 from typing import Mapping
 
 from .ir import (
@@ -50,19 +51,25 @@ class GeneratorConfig:
     range sampled per program.  ``node_budget`` bounds the node count
     from above; the structural builder may stop short.  ``stmt_weights``
     maps statement kinds of ``DEFAULT_STMT_WEIGHTS`` to finite,
-    non-negative weights with a positive, finite total.  Out-of-range
-    values raise ValueError.
+    non-negative weights with a positive, finite total; the config keeps
+    a read-only copy.  Out-of-range values raise ValueError.  Configs
+    are immutable and hashable.
     """
 
     seed: int = 42
     node_budget: int = 60
     variable_count: int | tuple[int, int] = (4, 8)
     loop_depth: int = 2
+    # Stored as a read-only copy in the caller's order, so that neither
+    # the config nor the caller's dict can change after the checks.  The
+    # copy is unhashable and left out of the hash; equal configs still
+    # hash equal.
     stmt_weights: Mapping[str, float] = field(
-        default_factory=lambda: dict(DEFAULT_STMT_WEIGHTS))
+        default_factory=lambda: DEFAULT_STMT_WEIGHTS, hash=False)
     irreducible_edge_probability: float = 0.0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "stmt_weights", MappingProxyType(dict(self.stmt_weights)))
         if self.node_budget < 1:
             raise ValueError(f"node budget must be at least 1, got {self.node_budget}")
         if self.loop_depth < 0:

@@ -101,11 +101,12 @@ def stmt_target(stmt: Statement) -> str | None:
 
 def stmt_uses(stmt: Statement) -> frozenset[str]:
     """Variables read by the statement."""
-    if isinstance(stmt, CopyAssign):
-        return frozenset((stmt.source,))
     if isinstance(stmt, BinAssign):
-        return frozenset(o for o in (stmt.left, stmt.right) if isinstance(o, str))
-    if isinstance(stmt, Print):
+        left, right = stmt.left, stmt.right
+        if isinstance(left, str):
+            return frozenset((left, right) if isinstance(right, str) else (left,))
+        return frozenset((right,) if isinstance(right, str) else ())
+    if isinstance(stmt, (CopyAssign, Print)):
         return frozenset((stmt.source,))
     return frozenset()
 
@@ -212,11 +213,9 @@ def _is_name(token: str) -> bool:
     return bool(_NAME_RE.match(token)) and token not in _KEYWORDS
 
 
-def _check_literal(token: str, lineno: int, col: int) -> int:
-    value = int(token)
-    if not INT64_MIN <= value <= INT64_MAX:
-        raise ParseError(f"integer literal {token} out of 64-bit range", lineno, col)
-    return value
+def _is_int(token: str) -> bool:
+    # ASCII digits alone settle the common case without the regex.
+    return token.isascii() and token.isdigit() or _INT_RE.match(token) is not None
 
 
 class _LineParser:
@@ -226,32 +225,55 @@ class _LineParser:
         self.text = text
         self.name: str | None = None
         self.variables: list[str] = []
+        self.declared: set[str] = set()
         self.nodes: dict[int, Statement] = {}
         self.edges: list[tuple[int, int]] = []
         self.entry: int | None = None
         self.exits: list[int] = []
 
     def parse(self) -> Program:
-        for lineno, raw in enumerate(self.text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].rstrip()
-            if not line.strip():
+        nodes, edges = self.nodes, self.edges
+        for lineno, line in enumerate(self.text.splitlines(), start=1):
+            if "#" in line:
+                line = line.split("#", 1)[0]
+            tokens = line.split()
+            if not tokens:
                 continue
-            self._parse_line(line, lineno)
+            keyword = tokens[0]
+            # node and edge lines, nearly all of a file, are handled here.
+            if keyword == "node":
+                if len(tokens) < 3 or not _is_int(tokens[1]):
+                    raise ParseError("expected 'node INT STMT'", lineno, 1)
+                node_id = int(tokens[1])
+                if node_id <= 0:
+                    raise ParseError(f"node id must be positive, got {node_id}",
+                                     lineno, self._column(line, tokens[1]))
+                if node_id in nodes:
+                    raise ParseError(f"duplicate node id {node_id}", lineno,
+                                     self._column(line, tokens[1]))
+                nodes[node_id] = self._parse_stmt(line, tokens[2:], lineno)
+            elif keyword == "edge":
+                if len(tokens) != 4 or tokens[2] != "->" \
+                        or not _is_int(tokens[1]) or not _is_int(tokens[3]):
+                    raise ParseError("expected 'edge INT -> INT'", lineno, 1)
+                edges.append((int(tokens[1]), int(tokens[3])))
+            else:
+                self._parse_directive(line.rstrip(), tokens, lineno)
         if self.name is None:
             raise ParseError("missing 'program' declaration", 1)
-        if not self.nodes:
+        if not nodes:
             raise ParseError("program has no nodes", 1)
-        entry = self.entry if self.entry is not None else min(self.nodes)
+        entry = self.entry if self.entry is not None else min(nodes)
         if self.exits:
             exits = frozenset(self.exits)
         else:
-            with_succ = {src for src, _ in self.edges}
-            exits = frozenset(n for n in self.nodes if n not in with_succ)
+            with_succ = {src for src, _ in edges}
+            exits = frozenset(n for n in nodes if n not in with_succ)
         return Program(
             name=self.name,
             variables=tuple(self.variables),
-            nodes=dict(sorted(self.nodes.items())),
-            edges=tuple(self.edges),
+            nodes=dict(sorted(nodes.items())),
+            edges=tuple(edges),
             entry=entry,
             exits=exits,
         )
@@ -260,8 +282,7 @@ class _LineParser:
         pos = line.find(token)
         return pos + 1 if pos >= 0 else 1
 
-    def _parse_line(self, line: str, lineno: int) -> None:
-        tokens = line.split()
+    def _parse_directive(self, line: str, tokens: list[str], lineno: int) -> None:
         keyword = tokens[0]
         if keyword == "program":
             if len(tokens) != 2 or not _is_name(tokens[1]):
@@ -276,85 +297,78 @@ class _LineParser:
                 if not _is_name(var):
                     raise ParseError(f"bad variable name {var!r}", lineno,
                                      self._column(line, piece.strip() or ","))
-                if var in self.variables:
+                if var in self.declared:
                     raise ParseError(f"duplicate variable {var!r}", lineno,
                                      self._column(line, var))
                 self.variables.append(var)
-        elif keyword == "node":
-            self._parse_node(line, tokens, lineno)
-        elif keyword == "edge":
-            self._parse_edge(line, tokens, lineno)
+                self.declared.add(var)
         elif keyword == "entry":
-            if len(tokens) != 2 or not _INT_RE.match(tokens[1]):
+            if len(tokens) != 2 or not _is_int(tokens[1]):
                 raise ParseError("expected 'entry INT'", lineno, 1)
             if self.entry is not None:
                 raise ParseError("second 'entry' line", lineno, 1)
             self.entry = int(tokens[1])
         elif keyword == "exit":
-            if len(tokens) != 2 or not _INT_RE.match(tokens[1]):
+            if len(tokens) != 2 or not _is_int(tokens[1]):
                 raise ParseError("expected 'exit INT'", lineno, 1)
             self.exits.append(int(tokens[1]))
         else:
             raise ParseError(f"unknown directive {keyword!r}", lineno, 1)
 
-    def _parse_edge(self, line: str, tokens: list[str], lineno: int) -> None:
-        if len(tokens) != 4 or tokens[2] != "->" \
-                or not _INT_RE.match(tokens[1]) or not _INT_RE.match(tokens[3]):
-            raise ParseError("expected 'edge INT -> INT'", lineno, 1)
-        self.edges.append((int(tokens[1]), int(tokens[3])))
-
-    def _parse_node(self, line: str, tokens: list[str], lineno: int) -> None:
-        if len(tokens) < 3 or not _INT_RE.match(tokens[1]):
-            raise ParseError("expected 'node INT STMT'", lineno, 1)
-        node_id = int(tokens[1])
-        if node_id <= 0:
-            raise ParseError(f"node id must be positive, got {node_id}",
-                             lineno, self._column(line, tokens[1]))
-        if node_id in self.nodes:
-            raise ParseError(f"duplicate node id {node_id}", lineno,
-                             self._column(line, tokens[1]))
-        stmt_tokens = tokens[2:]
-        self.nodes[node_id] = self._parse_stmt(line, stmt_tokens, lineno)
+    def _literal(self, line: str, token: str, lineno: int) -> int:
+        value = int(token)
+        if not INT64_MIN <= value <= INT64_MAX:
+            raise ParseError(f"integer literal {token} out of 64-bit range", lineno,
+                             self._column(line, token))
+        return value
 
     def _operand(self, line: str, token: str, lineno: int) -> Union[str, int]:
-        if _INT_RE.match(token):
-            return _check_literal(token, lineno, self._column(line, token))
+        if token in self.declared:
+            return token
+        if _is_int(token):
+            return self._literal(line, token, lineno)
         if _is_name(token):
             self._require_declared(token, line, lineno)
             return token
         raise ParseError(f"bad operand {token!r}", lineno, self._column(line, token))
 
     def _require_declared(self, var: str, line: str, lineno: int) -> None:
-        if var not in self.variables:
+        if var not in self.declared:
             raise ParseError(f"undeclared variable {var!r}", lineno,
                              self._column(line, var))
 
     def _parse_stmt(self, line: str, tokens: list[str], lineno: int) -> Statement:
+        # A declared variable is a name, so checking the declared set
+        # first settles the common tokens without a regex.
+        declared = self.declared
         if tokens == ["skip"]:
             return Skip()
         if tokens[0] == "print":
-            if len(tokens) != 2 or not _is_name(tokens[1]):
+            if len(tokens) != 2 or tokens[1] not in declared and not _is_name(tokens[1]):
                 raise ParseError("expected 'print NAME'", lineno, 1)
             self._require_declared(tokens[1], line, lineno)
             return Print(tokens[1])
         if len(tokens) >= 3 and tokens[1] == "=":
             target = tokens[0]
-            if not _is_name(target):
-                raise ParseError(f"bad assignment target {target!r}", lineno,
-                                 self._column(line, target))
-            self._require_declared(target, line, lineno)
+            if target not in declared:
+                if not _is_name(target):
+                    raise ParseError(f"bad assignment target {target!r}", lineno,
+                                     self._column(line, target))
+                self._require_declared(target, line, lineno)
             rhs = tokens[2:]
             if rhs == ["read()"] or rhs == ["read", "(", ")"]:
                 return ReadAssign(target)
             if len(rhs) == 1:
-                if _INT_RE.match(rhs[0]):
-                    value = _check_literal(rhs[0], lineno, self._column(line, rhs[0]))
-                    return ConstAssign(target, value)
-                if _is_name(rhs[0]):
-                    self._require_declared(rhs[0], line, lineno)
-                    return CopyAssign(target, rhs[0])
-                raise ParseError(f"bad right-hand side {rhs[0]!r}", lineno,
-                                 self._column(line, rhs[0]))
+                source = rhs[0]
+                if source in declared:
+                    return CopyAssign(target, source)
+                if _is_int(source):
+                    return ConstAssign(target, self._literal(line, source, lineno))
+                if not _is_name(source):
+                    raise ParseError(f"bad right-hand side {source!r}", lineno,
+                                     self._column(line, source))
+                self._require_declared(source, line, lineno)
+                return CopyAssign(target, source)
             if len(rhs) == 3:
                 if rhs[1] not in BINARY_OPS:
                     raise ParseError(f"unknown operator {rhs[1]!r}", lineno,
@@ -393,14 +407,16 @@ def validate_program(program: Program) -> list[Diagnostic]:
             diags.append(Diagnostic("invalid-node-id",
                                     f"node id {node_id!r} is not a positive integer",
                                     node=node_id))
-        mentioned = set(stmt_uses(stmt))
+        uses = stmt_uses(stmt)
         target = stmt_target(stmt)
-        if target is not None:
-            mentioned.add(target)
-        for var in sorted(mentioned - declared):
-            diags.append(Diagnostic("undeclared-variable",
-                                    f"node {node_id} mentions undeclared variable {var!r}",
-                                    node=node_id))
+        if not (uses <= declared and (target is None or target in declared)):
+            mentioned = set(uses)
+            if target is not None:
+                mentioned.add(target)
+            for var in sorted(mentioned - declared):
+                diags.append(Diagnostic("undeclared-variable",
+                                        f"node {node_id} mentions undeclared variable {var!r}",
+                                        node=node_id))
         if isinstance(stmt, ConstAssign) and not INT64_MIN <= stmt.value <= INT64_MAX:
             diags.append(Diagnostic("literal-out-of-range",
                                     f"node {node_id} literal {stmt.value} exceeds 64-bit range",

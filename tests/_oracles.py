@@ -7,7 +7,9 @@ dependence, set-based strongly-live, renamed reaching-definitions and
 renamed live-uses analyses, a concrete path interpreter, and
 dominator-based reducibility.  A reference section rebuilds the
 two-point frameworks over tuple values with explicit per-component
-writes, the form dfalab's int-mask transfers replaced.  The last
+writes, the form dfalab's int-mask transfers replaced.  Then come the
+per-call constant-propagation evaluator that ``cp_transfer`` compiles,
+and a round robin that visits every node on every pass.  The last
 section holds the two monotonicity checkers that only the tests run:
 transfer monotonicity on sampled values and condition 10 on solve
 traces.
@@ -28,7 +30,8 @@ from dfalab.analyses import (
     expression_key,
     program_expressions,
 )
-from dfalab.engine import EntitySpace, MaskSpace
+from dfalab.cfg_metrics import FORWARD, traversal_order
+from dfalab.engine import EntitySpace, MaskSpace, TraceRecord
 from dfalab.ir import (
     ASSIGNMENTS,
     BinAssign,
@@ -436,6 +439,82 @@ def reference_framework(program, fw):
                 writes.append((index[entity], top))
         transfers[node] = _constant_write_transfer(tuple(writes))
     return dataclasses.replace(fw, space=space, transfers=transfers)
+
+
+# ---------------------------------------------------------------------------
+# per-call constant propagation and a round robin without visit skips
+
+_ARITH = {"+": lambda a, b: a + b, "-": lambda a, b: a - b, "*": lambda a, b: a * b}
+
+
+def cp_transfer_reference(stmt, value: tuple, index) -> tuple:
+    """Constant propagation through one statement, dispatched on every call.
+
+    The reference for ``analyses.cp_transfer``, which compiles the same
+    rules into one function per statement.
+    """
+    def operand(op):
+        return op if isinstance(op, int) else value[index[op]]
+
+    if isinstance(stmt, ConstAssign):
+        result = wrap64(stmt.value)
+    elif isinstance(stmt, ReadAssign):
+        result = NONCONST
+    elif isinstance(stmt, CopyAssign):
+        result = value[index[stmt.source]]
+    elif isinstance(stmt, BinAssign):
+        left, right = operand(stmt.left), operand(stmt.right)
+        if left is NONCONST or right is NONCONST:
+            result = NONCONST
+        elif left is UNDEF or right is UNDEF:
+            result = UNDEF
+        else:
+            result = wrap64(_ARITH[stmt.op](left, right))
+    else:
+        return value
+    i = index[stmt.target]
+    return value[:i] + (result,) + value[i + 1:]
+
+
+def plain_round_robin(fw, cfg: ControlFlowGraph):
+    """Round robin that runs every transfer on every pass, traced.
+
+    Returns (IN, OUT, iterations, passes, trace) for comparison with
+    ``engine.round_robin_solve``, which skips visits whose input did
+    not change.
+    """
+    space = fw.space
+    forward = fw.direction == FORWARD
+    order = traversal_order(cfg, fw.direction)
+    inputs = cfg.predecessors if forward else cfg.successors
+    before = {n: space.top for n in cfg.nodes}
+    after = dict(before)
+    trace = []
+    passes = 0
+    changed = True
+    while changed:
+        passes += 1
+        changed = False
+        for node in order:
+            merged = space.top
+            for m in inputs[node]:
+                merged = space.meet(merged, after[m])
+            if merged != before[node]:
+                before[node], changed = merged, True
+            new = fw.transfers[node](merged)
+            if new == after[node]:
+                continue
+            seen = space.components(merged)
+            operands = tuple(sorted(((u, seen[space.index[u]])
+                                     for u in fw.dfpuse.get(node, ())),
+                                    key=lambda item: str(item[0])))
+            for entity, was, now in zip(space.entities, space.components(after[node]),
+                                        space.components(new)):
+                if was != now:
+                    trace.append(TraceRecord(passes, node, entity, was, now, operands))
+            after[node], changed = new, True
+    ins, outs = (before, after) if forward else (after, before)
+    return ins, outs, max(1, passes - 1), passes, tuple(trace)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,9 @@ from dfalab.engine import EntitySpace, MaskSpace
 from dfalab.analyses import CP_LATTICE
 from dfalab.generator import GeneratorConfig, generate_program
 from dfalab.ir import (
+    BINARY_OPS,
+    INT64_MAX,
+    INT64_MIN,
     BinAssign,
     ConstAssign,
     CopyAssign,
@@ -35,6 +38,7 @@ from dfalab.ir import (
 
 from _oracles import (
     check_monotonicity,
+    cp_transfer_reference,
     execute_all_paths,
     is_reducible,
     live_uses,
@@ -49,7 +53,7 @@ from conftest import chain_program
 def cp(stmt, mapping):
     """Run `cp_transfer` on the value that `mapping` gives per variable."""
     space = EntitySpace(tuple(mapping), CP_LATTICE)
-    out = cp_transfer(stmt, tuple(mapping.values()), space.index)
+    out = cp_transfer(stmt, space.index)(tuple(mapping.values()))
     return dict(zip(space.entities, out))
 
 
@@ -95,6 +99,26 @@ class TestCpTransfer:
     def test_arithmetic_wraps(self):
         out = cp(BinAssign("a", "a", "+", "b"), {"a": 2**62, "b": 2**62})
         assert out["a"] == -(2**63)
+
+    def test_compiled_transfer_matches_the_per_call_evaluator(self):
+        big = (INT64_MIN, INT64_MIN + 1, -(2**62), -1, 0, 1, 2**62, INT64_MAX - 1, INT64_MAX)
+        statements = [ConstAssign("a", INT64_MIN), ConstAssign("b", INT64_MAX),
+                      ReadAssign("c"), CopyAssign("a", "b"), CopyAssign("c", "c"),
+                      Print("a"), Skip()]
+        for op in BINARY_OPS:
+            statements += [BinAssign("a", "b", op, "c"), BinAssign("b", "b", op, "b"),
+                           BinAssign("c", "a", op, INT64_MAX), BinAssign("a", INT64_MIN, op, "c"),
+                           BinAssign("b", 7, op, -3), BinAssign("c", INT64_MAX, op, INT64_MAX)]
+        space = EntitySpace(("a", "b", "c"), CP_LATTICE)
+        rng = random.Random(5)
+        pool = (UNDEF, NONCONST) + big
+        for stmt in statements:
+            compiled = cp_transfer(stmt, space.index)
+            for _ in range(60):
+                value = tuple(rng.choice(pool) for _ in space.entities)
+                want = cp_transfer_reference(stmt, value, space.index)
+                assert compiled(value) == want, (stmt, value)
+        assert cp_transfer(Print("a"), space.index) is cp_transfer(Skip(), space.index)
 
 
 class TestCpFramework:

@@ -106,6 +106,25 @@ def test_node_cap_guards_large_graphs():
     assert depth(build_cfg(chain_program([Skip()] * 64))) == 0
 
 
+@pytest.mark.parametrize("edges,back_edges,expected", [
+    ([(1, 2), (2, 3), (3, 2), (3, 4), (4, 2), (4, 5)], {(3, 2), (4, 2)}, 1),
+    ([(1, 2), (2, 3), (2, 4), (3, 2), (4, 5), (5, 2), (4, 2), (5, 6)],
+     {(3, 2), (4, 2), (5, 2)}, 1),
+    ([(1, 2), (2, 3), (3, 2), (3, 4), (4, 5), (5, 2), (5, 6)], {(3, 2), (5, 2)}, 1),
+    ([(1, 2), (2, 3), (3, 4), (4, 3), (4, 5), (5, 3), (5, 6), (6, 2), (6, 7)],
+     {(4, 3), (5, 3), (6, 2)}, 1),
+    ([(1, 2), (2, 3), (3, 4), (4, 3), (4, 5), (5, 3), (3, 6), (6, 2), (6, 7)],
+     {(4, 3), (5, 3), (6, 2)}, 2),
+], ids=["two-into-one-head", "three-into-one-head", "nested-sharing-a-head",
+        "nested-sharing-the-inner-head", "two-into-the-inner-head-of-two"])
+def test_depth_counts_each_head_once(edges, back_edges, expected):
+    # A node-simple path enters a head once, so back edges sharing a
+    # head add at most one to its weight.
+    cfg = build_cfg(make_program([Skip()] * max(map(max, edges)), edges))
+    assert classify_back_edges(cfg) == back_edges
+    assert depth(cfg) == enumerate_depth(cfg, back_edges) == expected
+
+
 class TestAgainstEnumeration:
     """Exhaustive path enumeration must agree on small programs."""
 

@@ -1,11 +1,15 @@
+import dataclasses
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from dfalab import (
+    ANALYSIS_KINDS,
     DivergenceError,
     build_cfg,
     make_constant_propagation,
+    make_framework,
     round_robin_solve,
     worklist_solve,
 )
@@ -25,9 +29,10 @@ from dfalab.engine import (
     entity_space,
     product_height,
 )
+from dfalab.generator import GeneratorConfig, generate_program
 from dfalab.ir import ConstAssign, Print, Skip
 
-from _oracles import check_monotonicity
+from _oracles import check_monotonicity, is_reducible, plain_round_robin
 from conftest import chain_program, make_program
 
 cp_values = st.one_of(st.just(UNDEF), st.just(NONCONST), st.integers(-5, 5))
@@ -166,6 +171,42 @@ class TestFixedPoints:
         a = fw.space.index["a"]
         assert fw.space.components(result.out_values[2])[a] is FAINT
         assert fw.space.components(result.in_values[1])[a] is NOT_FAINT
+
+
+class TestVisitSkip:
+    def test_unchanged_inputs_are_not_transferred_again(self, fig3, fig3_cfg):
+        fw = make_constant_propagation(fig3, fig3_cfg)
+        calls = []
+
+        def spy(node, transfer):
+            def counted(value):
+                calls.append(node)
+                return transfer(value)
+            return counted
+
+        spied = dataclasses.replace(
+            fw, transfers={n: spy(n, t) for n, t in fw.transfers.items()})
+        result = round_robin_solve(spied, fig3_cfg)
+        assert result.passes_executed == 10
+        assert len(calls) < result.passes_executed * len(fig3_cfg.nodes)
+        assert result == round_robin_solve(fw, fig3_cfg)
+
+    @pytest.mark.parametrize("kind", ANALYSIS_KINDS)
+    def test_matches_a_round_robin_that_visits_every_node(self, fig3, fig3_swap, kind):
+        reducible = GeneratorConfig(seed=23)
+        irreducible = GeneratorConfig(seed=29, node_budget=30, irreducible_edge_probability=0.2)
+        programs = [fig3, fig3_swap]
+        programs += [generate_program(reducible, i) for i in range(12)]
+        programs += [p for p in (generate_program(irreducible, i) for i in range(40))
+                     if not is_reducible(build_cfg(p))][:8]
+        assert len(programs) == 22
+        for program in programs:
+            cfg = build_cfg(program)
+            fw = make_framework(program, kind, cfg)
+            got = round_robin_solve(fw, cfg)
+            want = plain_round_robin(fw, cfg)
+            assert (got.in_values, got.out_values, got.iterations, got.passes_executed,
+                    got.trace) == want, program.name
 
 
 class TestTraces:

@@ -149,3 +149,18 @@ def test_partial_weights_draw_only_their_kinds():
         # Joins are always skips; every other node is drawn.
         kinds = {type(stmt).__name__ for stmt in program.nodes.values()}
         assert kinds <= {"Print", "Skip"} and "Print" in kinds
+
+
+def test_config_is_frozen_and_hashable():
+    weights = {"print": 1.0, "skip": 1.0}
+    config = GeneratorConfig(seed=1, stmt_weights=weights)
+    with pytest.raises(TypeError):
+        config.stmt_weights["print"] = -5.0
+    programs = [serialize_program(p) for p in generate_corpus(config, 3)]
+    weights["print"] = 0.0
+    weights["const"] = 9.0
+    assert list(config.stmt_weights.items()) == [("print", 1.0), ("skip", 1.0)]
+    assert [serialize_program(p) for p in generate_corpus(config, 3)] == programs
+    same = GeneratorConfig(seed=1, stmt_weights={"print": 1.0, "skip": 1.0})
+    assert hash(config) == hash(same) and config == same
+    assert len({GeneratorConfig(), GeneratorConfig(), config}) == 2

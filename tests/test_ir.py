@@ -104,6 +104,37 @@ class TestParse:
         assert p.entry == 1
         assert p.exits == frozenset({2})
 
+    @pytest.mark.parametrize("lines,outcome", [
+        ("node\t1\ta\t=\tb\t+\t1\nnode\t2\tskip\nedge\t1\t->\t2\n",
+         ({1: BinAssign("a", "b", "+", 1), 2: Skip()}, ((1, 2),))),
+        ("node 1 a = 1 # set a\nnode 2 print a#use\nedge 1 -> 2 # on\n",
+         ({1: ConstAssign("a", 1), 2: Print("a")}, ((1, 2),))),
+        ("node 1 a = b\r\nnode 2 skip\r\nedge 1 -> 2\r\n",
+         ({1: CopyAssign("a", "b"), 2: Skip()}, ((1, 2),))),
+        ("node 1 a = read ( )\n", ({1: ReadAssign("a")}, ())),
+        ("node 1 a = 1\x002\n", (3, 12, "bad right-hand side '1\\x002'")),
+        (f"node {2**63} a = 1\nnode 1 skip\nedge 1 -> {2**63}\n",
+         ({1: Skip(), 2**63: ConstAssign("a", 1)}, ((1, 2**63),))),
+        ("node 1 skip\nnode 2 skip\nnode 1 a = 1\n", (5, 6, "duplicate node id 1")),
+    ], ids=["tabs", "trailing-comment", "crlf", "spaced-read", "nul-in-literal",
+            "id-above-int64", "duplicate-id"])
+    def test_node_and_edge_line_edge_cases(self, lines, outcome):
+        text = "program p\nvars a, b\n" + lines
+        if isinstance(outcome[0], dict):
+            program = parse_program(text)
+            assert (program.nodes, program.edges) == outcome
+        else:
+            line, column, message = outcome
+            with pytest.raises(ParseError) as caught:
+                parse_program(text)
+            assert (caught.value.line, caught.value.column) == (line, column)
+            assert str(caught.value) == f"line {line}, column {column}: {message}"
+
+    def test_byte_order_mark_is_not_skipped(self):
+        with pytest.raises(ParseError) as caught:
+            parse_program("\ufeffprogram p\nvars a\nnode 1 skip\n")
+        assert str(caught.value) == "line 1, column 1: unknown directive '\\ufeffprogram'"
+
     def test_parse_is_deterministic(self, fig3):
         from dfalab import fixtures
         assert fixtures.fig3() == fig3
