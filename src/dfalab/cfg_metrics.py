@@ -1,14 +1,14 @@
 """Back-edge classification, visit order, CFG depth, and back-edge path weights.
 
-One depth-first search from the entry node, visiting successors in
-ascending node-id order, gives both the back edges (edges whose
-target is on the DFS stack) and the round-robin visit order (its
-reverse postorder).  It runs once per CFG object.  For reducible
-graphs the back edges are the usual retreating edges; for irreducible
-graphs the ascending-id rule pins a deterministic answer.  The d-based
-pass bounds assume this pairing: a pass in depth-first order crosses
-only the counted back edges against the visit order (Kam & Ullman
-1976).
+The back edges and the round-robin visit order come from the one
+depth-first search that ``ir.build_cfg`` runs from the entry node,
+visiting successors in ascending node-id order: the edges whose target
+is on the DFS stack (``cfg.back_edges``) and its reverse postorder
+(``cfg.order``).  For reducible graphs the back edges are the usual
+retreating edges; for irreducible graphs the ascending-id rule pins a
+deterministic answer.  The d-based pass bounds assume this pairing: a
+pass in depth-first order crosses only the counted back edges against
+the visit order (Kam & Ullman 1976).
 
 The depth d is the maximum number of back edges on any node-simple
 path; the weight of a statement pair asks the same question for paths
@@ -48,53 +48,18 @@ class SearchBudgetExceeded(RuntimeError):
     """Exact path search aborted: input exceeds the configured budget."""
 
 
-def depth_first_search(cfg: ControlFlowGraph) -> tuple[frozenset[tuple[int, int]],
-                                                      tuple[int, ...]]:
-    """Back edges and reverse postorder of the ascending-id DFS from entry, memoised."""
-    if "_dfs" not in cfg.__dict__:
-        cfg.__dict__["_dfs"] = _dfs(cfg)
-    return cfg.__dict__["_dfs"]
-
-
-def _dfs(cfg: ControlFlowGraph) -> tuple[frozenset[tuple[int, int]], tuple[int, ...]]:
-    successors = cfg.successors
-    visited = {cfg.entry}
-    on_stack = {cfg.entry}
-    back: set[tuple[int, int]] = set()
-    postorder: list[int] = []
-    # Explicit stack of (node, iterator over its remaining successors)
-    # to avoid recursion limits on long chains.
-    stack = [(cfg.entry, iter(successors[cfg.entry]))]
-    while stack:
-        node, rest = stack[-1]
-        for nxt in rest:
-            if nxt in on_stack:
-                back.add((node, nxt))
-            elif nxt not in visited:
-                visited.add(nxt)
-                on_stack.add(nxt)
-                stack.append((nxt, iter(successors[nxt])))
-                break
-        else:
-            stack.pop()
-            on_stack.discard(node)
-            postorder.append(node)
-    return frozenset(back), tuple(reversed(postorder))
-
-
 def traversal_order(cfg: ControlFlowGraph, direction: str) -> tuple[int, ...]:
     """Round-robin visit order: DFS reverse postorder forward, its reverse backward."""
-    _, rpo = depth_first_search(cfg)
     if direction == FORWARD:
-        return rpo
+        return cfg.order
     if direction == BACKWARD:
-        return rpo[::-1]
+        return cfg.order[::-1]
     raise ValueError(f"unknown direction {direction!r}")
 
 
 def classify_back_edges(cfg: ControlFlowGraph) -> frozenset[tuple[int, int]]:
     """Edges whose target is a DFS-stack ancestor (ascending-id DFS from entry)."""
-    return depth_first_search(cfg)[0]
+    return cfg.back_edges
 
 
 def _check_node_cap(cfg: ControlFlowGraph) -> None:
@@ -311,7 +276,7 @@ class WeightTable:
     def closures(self) -> tuple[list[int], list[int]]:
         """Reach and co-reach masks of every node, each from one fixpoint."""
         # Every node is on the DFS; (reverse) postorder sweeps settle fast.
-        rpo = [self.index[node] for node in depth_first_search(self.cfg)[1]]
+        rpo = [self.index[node] for node in self.cfg.order]
         return _closure(self._succs, rpo[::-1]), _closure(self._preds, rpo)
 
     @cached_property

@@ -22,6 +22,11 @@ Comments start with '#' and run to end of line; blank lines are
 ignored.  Integer literals must fit in the signed 64-bit range and all
 arithmetic wraps around in two's complement.
 
+``build_cfg`` runs the one depth-first search of a CFG, from the entry
+with successors in ascending id order: ``ControlFlowGraph.order`` is
+its reverse postorder, the round-robin visit order, and
+``ControlFlowGraph.back_edges`` its back edges, which give the depth d.
+
 Program and ControlFlowGraph are immutable once constructed and safe
 to share between threads.
 """
@@ -30,7 +35,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Union
+from typing import Union
 
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
@@ -155,7 +160,7 @@ class Program:
 
 @dataclass(frozen=True)
 class ControlFlowGraph:
-    """Successor/predecessor view of a validated Program."""
+    """Successor/predecessor view of a validated Program, and its DFS."""
 
     program: Program
     nodes: tuple[int, ...]
@@ -163,6 +168,8 @@ class ControlFlowGraph:
     predecessors: dict[int, tuple[int, ...]]
     entry: int
     exits: frozenset[int]
+    order: tuple[int, ...]
+    back_edges: frozenset[tuple[int, int]]
 
     def statement(self, node: int) -> Statement:
         return self.program.nodes[node]
@@ -393,8 +400,20 @@ def parse_program(text: str) -> Program:
 
 def validate_program(program: Program) -> list[Diagnostic]:
     """Check all Program invariants; an empty list means the program is valid."""
+    return _walk(program)[0]
+
+
+def _walk(program: Program) -> tuple[list[Diagnostic], dict, dict, tuple[int, ...],
+                                     frozenset[tuple[int, int]]]:
+    """Diagnostics, successor and predecessor maps, reverse postorder and back edges.
+
+    The depth-first search from the entry takes successors in ascending
+    id order, and the nodes it misses are unreachable.  Ids are sorted
+    only once all are positive integers, so other ids get a diagnostic.
+    """
     diags: list[Diagnostic] = []
     declared = set(program.variables)
+    nodes = program.nodes
 
     seen_vars = set()
     for var in program.variables:
@@ -402,8 +421,10 @@ def validate_program(program: Program) -> list[Diagnostic]:
             diags.append(Diagnostic("duplicate-variable", f"variable {var!r} declared twice"))
         seen_vars.add(var)
 
-    for node_id, stmt in program.nodes.items():
+    ids_valid = True
+    for node_id, stmt in nodes.items():
         if not isinstance(node_id, int) or node_id <= 0:
+            ids_valid = False
             diags.append(Diagnostic("invalid-node-id",
                                     f"node id {node_id!r} is not a positive integer",
                                     node=node_id))
@@ -422,64 +443,76 @@ def validate_program(program: Program) -> list[Diagnostic]:
                                     f"node {node_id} literal {stmt.value} exceeds 64-bit range",
                                     node=node_id))
 
+    succ: dict[int, list[int]] = {n: [] for n in nodes}
+    pred: dict[int, list[int]] = {n: [] for n in nodes}
     for edge in program.edges:
+        src, dst = edge
+        if src in succ and dst in succ:
+            if dst not in succ[src]:
+                succ[src].append(dst)
+                pred[dst].append(src)
+            continue
         for endpoint in edge:
-            if endpoint not in program.nodes:
+            if endpoint not in nodes:
                 diags.append(Diagnostic("undefined-node-in-edge",
-                                        f"edge {edge[0]}->{edge[1]} references undefined node {endpoint}",
+                                        f"edge {src}->{dst} references undefined node {endpoint}",
                                         edge=edge))
 
-    if program.entry not in program.nodes:
+    entry = program.entry
+    if entry not in nodes:
         diags.append(Diagnostic("undefined-entry",
-                                f"entry {program.entry} is not a declared node",
-                                node=program.entry))
+                                f"entry {entry} is not a declared node", node=entry))
     for ex in sorted(program.exits):
-        if ex not in program.nodes:
+        if ex not in nodes:
             diags.append(Diagnostic("undefined-exit",
                                     f"exit {ex} is not a declared node", node=ex))
 
-    if program.entry in program.nodes:
-        succ: dict[int, list[int]] = {n: [] for n in program.nodes}
-        for src, dst in program.edges:
-            if src in succ and dst in program.nodes:
-                succ[src].append(dst)
-        for node_id in sorted(set(program.nodes) - reachable(program.entry, succ)):
+    arrange = (lambda ids: tuple(sorted(ids))) if ids_valid else tuple
+    successors = {n: arrange(s) for n, s in succ.items()}
+    predecessors = {n: arrange(p) for n, p in pred.items()}
+    back: set[tuple[int, int]] = set()
+    postorder: list[int] = []
+    visited = {entry}
+    on_stack = {entry}
+    # Explicit stack of (node, iterator over its remaining successors)
+    # to avoid recursion limits on long chains.
+    stack = [(entry, iter(successors[entry]))] if entry in nodes else []
+    while stack:
+        node, rest = stack[-1]
+        for nxt in rest:
+            if nxt in on_stack:
+                back.add((node, nxt))
+            elif nxt not in visited:
+                visited.add(nxt)
+                on_stack.add(nxt)
+                stack.append((nxt, iter(successors[nxt])))
+                break
+        else:
+            stack.pop()
+            on_stack.discard(node)
+            postorder.append(node)
+    if entry in nodes:
+        for node_id in arrange(n for n in nodes if n not in visited):
             diags.append(Diagnostic("unreachable-node",
                                     f"node {node_id} is not reachable from entry",
                                     node=node_id))
-    return diags
-
-
-def reachable(start: int, neighbours: Mapping[int, Iterable[int]]) -> set[int]:
-    """Nodes reachable from `start` (itself included) along `neighbours`."""
-    seen = {start}
-    stack = [start]
-    while stack:
-        for nxt in neighbours[stack.pop()]:
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return seen
+    return diags, successors, predecessors, tuple(reversed(postorder)), frozenset(back)
 
 
 def build_cfg(program: Program) -> ControlFlowGraph:
     """Build the successor/predecessor view.  Requires a valid program."""
-    diags = validate_program(program)
+    diags, successors, predecessors, order, back_edges = _walk(program)
     if diags:
         raise InvalidProgramError(diags)
-    succ: dict[int, list[int]] = {n: [] for n in program.nodes}
-    pred: dict[int, list[int]] = {n: [] for n in program.nodes}
-    for src, dst in program.edges:
-        if dst not in succ[src]:
-            succ[src].append(dst)
-            pred[dst].append(src)
     return ControlFlowGraph(
         program=program,
         nodes=tuple(sorted(program.nodes)),
-        successors={n: tuple(sorted(s)) for n, s in succ.items()},
-        predecessors={n: tuple(sorted(p)) for n, p in pred.items()},
+        successors=successors,
+        predecessors=predecessors,
         entry=program.entry,
         exits=program.exits,
+        order=order,
+        back_edges=back_edges,
     )
 
 

@@ -146,23 +146,21 @@ class TestReport:
     def test_each_program_is_validated_once(self, fig3_file, swap_file, capsys,
                                             monkeypatch):
         calls = []
-        original = ir.validate_program
+        original = ir._walk
 
         def counting(program):
             calls.append(program.name)
             return original(program)
 
-        # The CLI may reach the validator through its own import too.
-        monkeypatch.setattr(ir, "validate_program", counting)
-        monkeypatch.setattr(cli, "validate_program", counting, raising=False)
+        monkeypatch.setattr(ir, "_walk", counting)
         assert main(["report", str(fig3_file), str(swap_file)]) == EXIT_OK
         assert calls == ["fig3", "fig3_swap"]
 
     def test_one_dfs_per_report(self, fig3_file, capsys, monkeypatch):
-        # The DFS is memoised on the CFG; the functions the benchmark
-        # patches or swaps are still called.
+        # build_cfg runs the DFS; the functions the benchmark patches or
+        # swaps are still called.
         calls = Counter()
-        for owner, attr in ((cfg_metrics, "_dfs"), (cfg_metrics, "classify_back_edges"),
+        for owner, attr in ((ir, "_walk"), (cfg_metrics, "classify_back_edges"),
                             (engine, "traversal_order")):
             def counting(*args, _attr=attr, _original=getattr(owner, attr)):
                 calls[_attr] += 1
@@ -171,7 +169,7 @@ class TestReport:
         assert main(["report", str(fig3_file), "--analysis", "cp",
                      "--analysis", "faint"]) == EXIT_OK
         # cp and faint, plus the reach and live solves behind their EDGs.
-        assert calls == {"_dfs": 1, "classify_back_edges": 1, "traversal_order": 4}
+        assert calls == {"_walk": 1, "classify_back_edges": 1, "traversal_order": 4}
 
 
 class TestGenerate:

@@ -13,6 +13,7 @@ from dfalab.ir import (
     BinAssign,
     ConstAssign,
     CopyAssign,
+    Diagnostic,
     Print,
     Program,
     ReadAssign,
@@ -166,6 +167,18 @@ class TestValidate:
         p = Program(name="t", variables=(), nodes={1: Skip()}, edges=(),
                     entry=9, exits=frozenset())
         assert any(d.code == "undefined-entry" for d in validate_program(p))
+
+    def test_non_integer_node_id_is_diagnosed_not_compared(self):
+        # Node 1's successors and node 2's predecessors mix int and str
+        # ids, which cannot be sorted.
+        p = Program(name="t", variables=(), nodes={1: Skip(), "q": Skip(), 2: Skip()},
+                    edges=((1, 2), (1, "q"), ("q", 2)), entry=1, exits=frozenset())
+        expected = [Diagnostic("invalid-node-id", "node id 'q' is not a positive integer",
+                               node="q")]
+        assert validate_program(p) == expected
+        with pytest.raises(InvalidProgramError) as caught:
+            build_cfg(p)
+        assert caught.value.diagnostics == expected
 
 
 class TestCfg:
