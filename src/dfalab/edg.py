@@ -11,7 +11,11 @@ named through its ``space``.  A framework whose transfers read no
 entity is separable: its delta is 0 and it gets no EDG.
 
 Each edge carries the maximum back-edge count over acyclic CFG paths
-between its two statements, oriented by analysis direction.  The
+between its two statements, oriented by analysis direction.  An edge
+from an instance at the statement it reaches, such as b_3 -> b_3 for
+``b = b + 1`` at node 3 in a loop, records a dependence carried around
+that loop: it carries the maximum back-edge count over the simple CFG
+cycles through the statement, not the empty path's 0.  The
 degree of dependence is the largest iteration cost of pushing a
 change from an entry node along any path structure, where traversing
 a cycle costs the component-lattice height times the cycle weight.
@@ -189,12 +193,23 @@ def build_edg(program: Program, fw: FrameworkInstance, *,
             origin = low.bit_length() - 1
             stmt = labels[origin].stmt
             hits.append((origin, j, (stmt, j) if forward else (j, stmt)))
-    weights.expect(pair for _, _, pair in hits)
+    # A hit from an instance at the statement it reaches goes around a
+    # loop: it weighs the best simple cycle through j, a path from j to
+    # a predecessor p closed by the edge p -> j.
+    loops = {j for _, j, (frm, to) in hits if frm == to}
+    weights.expect([pair for _, _, pair in hits]
+                   + [(j, p) for j in loops for p in cfg.predecessors[j]])
 
+    back_edges = cfg.back_edges
     # cfg.nodes ascends, so each list comes out sorted by target.
     adj: list[list[tuple[int, int]]] = [[] for _ in labels]
     for origin, j, pair in hits:
-        w = weights.weight(*pair)
+        if pair[0] == pair[1]:
+            cycles = [w + ((p, j) in back_edges) for p in cfg.predecessors[j]
+                      if (w := weights.weight(j, p)) is not None]
+            w = max(cycles, default=None)
+        else:
+            w = weights.weight(*pair)
         if w is None:
             raise RuntimeError(f"renamed instance without a CFG path from {pair[0]} to {pair[1]}")
         out = adj[origin]

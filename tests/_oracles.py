@@ -53,9 +53,10 @@ from dfalab.ir import (
 def enumerate_pair_weight(cfg: ControlFlowGraph,
                           back_edges: frozenset[tuple[int, int]],
                           src: int, dst: int) -> int | None:
-    """Max back-edge count over all simple src->dst paths, by full enumeration."""
-    if src == dst:
-        return 0
+    """Max back-edge count over all simple src->dst paths, by full enumeration.
+
+    For src == dst these are the simple cycles through src.
+    """
     best: int | None = None
 
     def walk(node: int, visited: set[int], weight: int) -> None:

@@ -40,7 +40,7 @@ NONSEPARABLE = ("cp", "faint")
 BITVECTOR = ("avail", "reach", "live")
 # sha256 of the CSV report over every corpus record, grouped by kind in
 # NONSEPARABLE + BITVECTOR order: any change to a reported number moves it.
-REPORT_SHA256 = "5b578876c33d60307b7f2c4cb78a903e88f676a7e371e6e427c63aa4324648a0"
+REPORT_SHA256 = "609378a01ef598cbf1b7246664e13b768f0e98ef9c8be0f3641e013a43757770"
 
 
 def announce(number: int, ok: bool, detail: str) -> bool:

@@ -16,7 +16,7 @@ from dfalab.bounds import CSV_HEADER, ProgramPipeline, edg_bound, simplistic_bou
 
 # sha256 of the CSV report over the seed-7, 300-program irreducible
 # corpus (`--nodes 40 --irreducible 0.05`), all five kinds.
-IRREDUCIBLE_REPORT_SHA256 = "8e4ad5d2630471d053941693b1f5cd22c962362e85c2364256319fde719c8a2f"
+IRREDUCIBLE_REPORT_SHA256 = "c3c0a0f22a72ffeb83f052385baca4eb16944dcd44a4491486ed6d1c7533dcdd"
 
 
 @pytest.mark.parametrize("d,H,expected", [(3, 8, 25), (3, 4, 13), (0, 17, 1), (0, 0, 1)])
