@@ -15,10 +15,10 @@ between its two statements, oriented by analysis direction.  An edge
 from an instance at the statement it reaches, such as b_3 -> b_3 for
 ``b = b + 1`` at node 3 in a loop, records a dependence carried around
 that loop: it carries the maximum back-edge count over the simple CFG
-cycles through the statement, not the empty path's 0.  The
-degree of dependence is the largest iteration cost of pushing a
-change from an entry node along any path structure, where traversing
-a cycle costs the component-lattice height times the cycle weight.
+cycles through the statement.  The degree of dependence is the
+largest iteration cost of pushing a change from an entry node along
+any path structure, where traversing a cycle costs the
+component-lattice height times the cycle weight.
 When the target of a path lies on its final cycle, the trailing
 partial traversal is absorbed into the last circuit and costs
 nothing.
