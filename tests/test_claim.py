@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dfalab import ANALYSIS_KINDS, ProgramPipeline, fixtures, parse_program, serialize_program
+from dfalab.analyses import BITVECTOR_KINDS
 from dfalab.engine import worklist_solve
 from dfalab.ir import (
     BINARY_OPS,
@@ -25,8 +26,6 @@ from dfalab.ir import (
 )
 
 from _oracles import enumerate_degree
-
-SEPARABLE = ("avail", "reach", "live")
 
 # Node 3 reads the b it defined on the previous trip round 3 -> 1 -> 3.
 SELFDEP = """program selfdep
@@ -144,7 +143,7 @@ def test_bounds_hold_on_generated_programs(program):
     for kind in ANALYSIS_KINDS:
         record = pipeline.record(kind)
         assert record.iterations <= record.b1 and record.iterations <= record.b2, record
-        if kind in SEPARABLE:
+        if kind in BITVECTOR_KINDS:
             assert record.delta == 0 and record.iterations <= 1 + record.d, record
         else:
             edg = pipeline.edg(kind)
