@@ -171,27 +171,24 @@ def make_constant_propagation(program: Program,
         cfg = build_cfg(program)
     space = entity_space(tuple(program.variables), CP_LATTICE)
     transfers: dict[int, Callable[[Value], Value]] = {}
-    dfpmod: dict[int, frozenset] = {}
     dfpuse: dict[int, frozenset] = {}
     sources: dict[int, frozenset] = {}
     empty: frozenset = frozenset()
     for node, stmt in program.nodes.items():
         transfers[node] = cp_transfer(stmt, space.index)
         if isinstance(stmt, ASSIGNMENTS):
-            defined = frozenset((stmt.target,))
             uses = stmt_uses(stmt)
-            dfpmod[node] = defined
             dfpuse[node] = uses
             # Constants, reads, and literal-only binops yield a non-top
             # value no matter what flows in.
             independent = isinstance(stmt, (ConstAssign, ReadAssign)) or (
                 isinstance(stmt, BinAssign) and not uses)
-            sources[node] = defined if independent else empty
+            sources[node] = frozenset((stmt.target,)) if independent else empty
         else:
-            dfpmod[node] = dfpuse[node] = sources[node] = empty
+            dfpuse[node] = sources[node] = empty
     return FrameworkInstance(
         kind=CP_KIND, direction=FORWARD, space=space, transfers=transfers,
-        dfpmod=dfpmod, dfpuse=dfpuse, independent_sources=sources)
+        dfpuse=dfpuse, independent_sources=sources)
 
 
 # ---------------------------------------------------------------------------
@@ -228,31 +225,28 @@ def make_faint_variables(program: Program,
     bit = {var: 1 << i for var, i in space.index.items()}
     alone = {var: frozenset((var,)) for var in space.entities}
     transfers: dict[int, Callable[[Value], Value]] = {}
-    dfpmod: dict[int, frozenset] = {}
     dfpuse: dict[int, frozenset] = {}
     sources: dict[int, frozenset] = {}
     empty: frozenset = frozenset()
     for node, stmt in program.nodes.items():
         if isinstance(stmt, ASSIGNMENTS):
-            uses = stmt_uses(stmt)
             u = 0
-            for var in uses:
+            for var in stmt_uses(stmt):
                 u |= bit[var]
             t = bit[stmt.target]
             transfers[node] = lambda v, t=t, c=~t, u=u: v & c | u if v & t else v & c
-            dfpmod[node] = uses
             dfpuse[node] = alone[stmt.target]
             sources[node] = empty
         elif isinstance(stmt, Print):
             transfers[node] = (lambda v, b=bit[stmt.source]: v | b)
-            dfpmod[node] = sources[node] = alone[stmt.source]
+            sources[node] = alone[stmt.source]
             dfpuse[node] = empty
         else:
             transfers[node] = _identity
-            dfpmod[node] = dfpuse[node] = sources[node] = empty
+            dfpuse[node] = sources[node] = empty
     return FrameworkInstance(
         kind=FAINT_KIND, direction=BACKWARD, space=space, transfers=transfers,
-        dfpmod=dfpmod, dfpuse=dfpuse, independent_sources=sources)
+        dfpuse=dfpuse, independent_sources=sources)
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +380,7 @@ def make_bitvector_framework(program: Program, kind: str,
     # Separable: no transfer reads an entity, so no dependences to declare.
     return FrameworkInstance(
         kind=kind, direction=direction, space=space, transfers=transfers,
-        dfpmod={}, dfpuse={}, independent_sources={})
+        dfpuse={}, independent_sources={})
 
 
 def make_framework(program: Program, kind: str,

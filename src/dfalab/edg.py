@@ -26,13 +26,14 @@ nothing.
 An EDG is integer adjacency over the renamed instances: node i is
 instance i of the ``reach``/``live`` space, so nodes come in
 (statement, variable) order, and each keeps its edges sorted by
-target, the order in which ``build_edg`` writes them.  The
-``Instance``/``EdgEdge`` views are derived from it only when read.
+target, the order in which ``build_edg`` writes them.  Callers name
+nodes by index and read ``labels`` for their instances; the
+``Instance``/``EdgEdge`` views ``nodes`` and ``edges`` are derived
+only when read.
 
-The production search condenses the EDG into strongly connected
-components and combines exhaustive small searches inside each
-component with one longest-path sweep over the condensation, seeded
-at every entry node.  Only the heaviest cycle of a structure is
+The search condenses the EDG into strongly connected components and
+combines exhaustive small searches inside each component with one
+longest-path sweep over the condensation, seeded at every entry node.  Only the heaviest cycle of a structure is
 charged, which is sound under monotonic entity dependence (condition
 10; the test suite checks it on solve traces).  The search reads the
 adjacency as built, with node sets as int bitmasks.  The search for
@@ -42,10 +43,9 @@ sweep.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Union
+from typing import Iterable
 
 from .analyses import (
     CP_KIND,
@@ -74,10 +74,6 @@ class EdgEdge:
     weight: int
 
 
-def _node_key(node: Instance) -> tuple[int, str]:
-    return (node.stmt, node.var)
-
-
 @dataclass(frozen=True)
 class EntityDependenceGraph:
     """Nodes and edges of one EDG, as integer adjacency.
@@ -87,8 +83,8 @@ class EntityDependenceGraph:
     entry nodes: in-degree-zero nodes whose flow function yields
     non-top on its own.  No entry node means no information can
     enter: every entity stays top and the analysis need not run.  The
-    object views ``nodes``, ``edges`` and ``entry_nodes`` are derived
-    on first read.
+    object views ``nodes`` and ``edges``, which the benchmark's tracer
+    counts, are derived on first read.
     """
 
     kind: str
@@ -96,18 +92,6 @@ class EntityDependenceGraph:
     labels: list[Instance]
     adj: list[list[tuple[int, int]]]
     entries: list[int]
-
-    @classmethod
-    def from_edges(cls, kind: str, direction: str, nodes: Iterable[Instance],
-                   edges: Iterable[EdgEdge],
-                   entry_nodes: Iterable[Instance]) -> EntityDependenceGraph:
-        """The EDG of given objects; each node keeps its edges in `edges` order."""
-        labels = sorted(nodes, key=_node_key)
-        number = {node: i for i, node in enumerate(labels)}
-        adj: list[list[tuple[int, int]]] = [[] for _ in labels]
-        for edge in edges:
-            adj[number[edge.src]].append((number[edge.dst], edge.weight))
-        return cls(kind, direction, labels, adj, sorted(number[n] for n in entry_nodes))
 
     @cached_property
     def nodes(self) -> frozenset[Instance]:
@@ -119,21 +103,6 @@ class EntityDependenceGraph:
         labels = self.labels
         return tuple(EdgEdge(labels[u], labels[v], w)
                      for u, out in enumerate(self.adj) for v, w in out)
-
-    @cached_property
-    def entry_nodes(self) -> frozenset[Instance]:
-        return frozenset(self.labels[i] for i in self.entries)
-
-    def index_of(self, node: Instance) -> int:
-        labels = self.labels
-        i = bisect_left(labels, _node_key(node), key=_node_key)
-        if i == len(labels) or labels[i] != node:
-            raise KeyError(f"{node} is not an EDG node")
-        return i
-
-
-class MalformedPathError(ValueError):
-    """Structured path does not decompose into disjoint segments and cycles."""
 
 
 # The bit-vector analysis whose solution resolves the renamed instances
@@ -220,101 +189,6 @@ def build_edg(program: Program, fw: FrameworkInstance, *,
     entries = [i for i, inst in enumerate(labels)
                if inst.var in sources[inst.stmt] and inst.stmt not in targeted]
     return EntityDependenceGraph(fw.kind, fw.direction, labels, adj, entries)
-
-
-# ---------------------------------------------------------------------------
-# structured paths and their degree of dependence
-
-
-@dataclass(frozen=True)
-class PathSegment:
-    """A run of consecutive edges with no repeated node."""
-
-    edges: tuple[EdgEdge, ...]
-
-
-@dataclass(frozen=True)
-class PathCycle:
-    """A simple cycle anchored at the node where the path currently stands."""
-
-    edges: tuple[EdgEdge, ...]
-
-
-PathElement = Union[PathSegment, PathCycle]
-
-
-@dataclass(frozen=True)
-class StructuredPath:
-    origin: Instance
-    elements: tuple[PathElement, ...]
-    target: Instance
-
-
-def path_delta(edg: EntityDependenceGraph, path: StructuredPath, h_hat: int) -> int:
-    """Iteration cost of propagating a change along one path structure.
-
-    Acyclic segments cost their edge-weight sum.  Of the traversed
-    cycles only the heaviest is charged, at the component height times
-    its weight.  A target inside the final cycle is absorbed (no
-    trailing cost).
-    """
-    known = {(e.src, e.dst): e.weight for e in edg.edges}
-    current = path.origin
-    visited = {path.origin}
-    anchors: set[Instance] = set()
-    segment_sum = 0
-    cycle_weights: list[int] = []
-    last_cycle_nodes: frozenset[Instance] | None = None
-
-    for element in path.elements:
-        if not element.edges:
-            raise MalformedPathError("empty path element")
-        for edge in element.edges:
-            if (edge.src, edge.dst) not in known:
-                raise MalformedPathError(f"edge {edge.src} -> {edge.dst} is not in the EDG")
-        if isinstance(element, PathSegment):
-            for edge in element.edges:
-                if edge.src != current:
-                    raise MalformedPathError("segment does not continue the path")
-                if edge.dst in visited:
-                    raise MalformedPathError(f"segment revisits {edge.dst}")
-                visited.add(edge.dst)
-                segment_sum += known[(edge.src, edge.dst)]
-                current = edge.dst
-            last_cycle_nodes = None
-        else:
-            anchor = current
-            if anchor in anchors:
-                raise MalformedPathError(
-                    f"overlapping cycles: {anchor} anchors two cycles")
-            anchors.add(anchor)
-            weight = 0
-            seen_in_cycle = {anchor}
-            pos = anchor
-            for k, edge in enumerate(element.edges):
-                if edge.src != pos:
-                    raise MalformedPathError("cycle edges do not chain")
-                weight += known[(edge.src, edge.dst)]
-                pos = edge.dst
-                last = k == len(element.edges) - 1
-                if last:
-                    if pos != anchor:
-                        raise MalformedPathError("cycle does not return to its anchor")
-                else:
-                    if pos in visited or pos in seen_in_cycle:
-                        raise MalformedPathError(
-                            f"overlapping cycle: {pos} already used")
-                    seen_in_cycle.add(pos)
-            visited |= seen_in_cycle
-            cycle_weights.append(weight)
-            last_cycle_nodes = frozenset(seen_in_cycle)
-
-    if path.target != current:
-        if last_cycle_nodes is None or path.target not in last_cycle_nodes:
-            raise MalformedPathError(
-                f"target {path.target} is neither the path end nor on the final cycle")
-
-    return segment_sum + h_hat * max(cycle_weights, default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -453,10 +327,9 @@ def _scan_component(adj: dict[int, list[tuple[int, int, int]]], h_hat: int,
     return end0, end1, absorbed, steps
 
 
-def delta_vector(edg: EntityDependenceGraph, origins: Iterable[Instance],
-                 h_hat: int, *,
-                 max_steps: int = DEFAULT_DELTA_STEP_CAP) -> dict[Instance, int]:
-    """Best propagation cost from any of `origins` to every reachable node.
+def delta_vector(edg: EntityDependenceGraph, starts: list[int], h_hat: int, *,
+                 max_steps: int = DEFAULT_DELTA_STEP_CAP) -> dict[int, int]:
+    """Best propagation cost from any of the nodes `starts` to every reachable node.
 
     Condenses the EDG into SCCs, runs the exhaustive structure search
     inside each component, and sweeps the condensation in topological
@@ -469,9 +342,10 @@ def delta_vector(edg: EntityDependenceGraph, origins: Iterable[Instance],
     component scan once where separate single-origin sweeps would
     repeat it, so it never needs more steps than they need together.
     """
-    starts = [edg.index_of(origin) for origin in origins]
-    steps = max_steps * len(starts)
     adj = edg.adj
+    if not all(0 <= start < len(adj) for start in starts):
+        raise IndexError(f"start nodes {starts} are not all in 0..{len(adj) - 1}")
+    steps = max_steps * len(starts)
     # The best value arriving at each node with no cycle charged yet
     # (in0) and with one (in1); -1 for none, as weights are not negative.
     in0 = [-1] * len(adj)
@@ -521,8 +395,7 @@ def delta_vector(edg: EntityDependenceGraph, origins: Iterable[Instance],
                         in0[dst] = value0 + w
                     if value1 >= 0 and value1 + w > in1[dst]:
                         in1[dst] = value1 + w
-    labels = edg.labels
-    return {labels[v]: value for v, value in result.items()}
+    return result
 
 
 def degree_of_dependence(edg: EntityDependenceGraph, h_hat: int, *,
@@ -534,6 +407,5 @@ def degree_of_dependence(edg: EntityDependenceGraph, h_hat: int, *,
     """
     if not edg.entries or not any(edg.adj):
         return 0
-    origins = [edg.labels[i] for i in edg.entries]
-    return max(delta_vector(edg, origins, h_hat, max_steps=max_steps).values())
+    return max(delta_vector(edg, edg.entries, h_hat, max_steps=max_steps).values())
 

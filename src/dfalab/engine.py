@@ -123,25 +123,24 @@ class FrameworkInstance:
     """A data flow framework instantiated on one program.
 
     ``transfers`` maps each node to a function over product values.
-    ``dfpmod``/``dfpuse`` name the entities a node's transfer computes
-    and reads.  ``independent_sources`` are the dfpmod entities whose
-    transfer produces a non-top value regardless of input (constants,
-    reads, prints): these are the only places where information can
-    enter the analysis.  Separable instances, whose transfers read no
-    entity, declare no dependences: all three tables are empty.
+    ``dfpuse`` names the entities a node's transfer reads.
+    ``independent_sources`` are the entities a node's transfer sets to
+    a non-top value regardless of input (constants, reads, prints):
+    these are the only places where information can enter the
+    analysis.  Separable instances, whose transfers read no entity,
+    declare no dependences: both tables are empty.
     """
 
     kind: str
     direction: str
     space: EntitySpace
     transfers: dict[int, Callable[[Value], Value]]
-    dfpmod: dict[int, frozenset[Entity]]
     dfpuse: dict[int, frozenset[Entity]]
     independent_sources: dict[int, frozenset[Entity]]
 
     def __post_init__(self) -> None:
         declared = frozenset(self.space.entities)
-        for table in (self.dfpmod, self.dfpuse, self.independent_sources):
+        for table in (self.dfpuse, self.independent_sources):
             for node, entities in table.items():
                 if not declared.issuperset(entities):
                     raise ValueError(f"node {node} names undeclared entities "

@@ -167,16 +167,8 @@ class ControlFlowGraph:
     successors: dict[int, tuple[int, ...]]
     predecessors: dict[int, tuple[int, ...]]
     entry: int
-    exits: frozenset[int]
     order: tuple[int, ...]
     back_edges: frozenset[tuple[int, int]]
-
-    def statement(self, node: int) -> Statement:
-        return self.program.nodes[node]
-
-    @property
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        return self.program.edges
 
 
 @dataclass(frozen=True)
@@ -510,7 +502,6 @@ def build_cfg(program: Program) -> ControlFlowGraph:
         successors=successors,
         predecessors=predecessors,
         entry=program.entry,
-        exits=program.exits,
         order=order,
         back_edges=back_edges,
     )

@@ -5,7 +5,11 @@ definitions, not by calling into the corresponding dfalab code paths:
 plain exhaustive enumeration for path weights and the degree of
 dependence, set-based strongly-live, renamed reaching-definitions and
 renamed live-uses analyses, a concrete path interpreter, and
-dominator-based reducibility.  A reference section rebuilds the
+dominator-based reducibility.  The degree-of-dependence enumeration
+is the reference for the cost rule that ``edg.delta_vector``
+implements; it names EDG nodes by index and reads only ``adj`` and
+``entries``.  The CFG oracles read statements and edges from
+``cfg.program``.  A reference section rebuilds the
 two-point frameworks over tuple values with explicit per-component
 writes, the form dfalab's int-mask transfers replaced.  Then come the
 per-call constant-propagation evaluator that ``cp_transfer`` compiles,
@@ -100,19 +104,16 @@ def enumerate_depth(cfg: ControlFlowGraph,
 # exhaustive degree-of-dependence enumeration
 
 
-def enumerate_delta_vector(edg, origin, h_hat: int) -> dict[object, int]:
-    """Best propagation cost per target by enumerating every path structure.
+def enumerate_delta_vector(edg, origin: int, h_hat: int) -> dict[int, int]:
+    """Best propagation cost from node `origin` per target, by enumerating every path structure.
 
     A structure is a simple path with node-disjoint simple cycles
     attached at path nodes.  Cost: segment weights plus h_hat times
     the max cycle weight (monotonic entity dependence).  A structure may also end with a cycle, covering every node of that
-    cycle at no trailing cost.
+    cycle at no trailing cost.  Nodes are the indices of ``edg.adj``.
     """
-    adj: dict[object, list[tuple[object, int]]] = {n: [] for n in edg.nodes}
-    for edge in edg.edges:
-        adj[edge.src].append((edge.dst, edge.weight))
-
-    best: dict[object, int] = {}
+    adj = edg.adj
+    best: dict[int, int] = {}
 
     def value_of(segments: int, cycles: tuple[int, ...]) -> int:
         return segments + h_hat * max(cycles, default=0)
@@ -160,10 +161,10 @@ def enumerate_delta_vector(edg, origin, h_hat: int) -> dict[object, int]:
 
 
 def enumerate_degree(edg, h_hat: int) -> int:
-    if not edg.edges or not edg.entry_nodes:
+    if not any(edg.adj) or not edg.entries:
         return 0
     best = 0
-    for origin in edg.entry_nodes:
+    for origin in edg.entries:
         vector = enumerate_delta_vector(edg, origin, h_hat)
         if vector:
             best = max(best, max(vector.values()))
@@ -186,7 +187,7 @@ def strongly_live(cfg: ControlFlowGraph) -> tuple[dict[int, frozenset[str]],
             out: set[str] = set()
             for succ in cfg.successors[node]:
                 out |= live_in[succ]
-            stmt = cfg.statement(node)
+            stmt = cfg.program.nodes[node]
             target = stmt_target(stmt)
             if isinstance(stmt, Print):
                 inn = out | {stmt.source}
@@ -231,7 +232,7 @@ def reaching_definitions(cfg: ControlFlowGraph) -> dict[int, frozenset[Instance]
         for pred in cfg.predecessors[node]:
             merged |= out_sets[pred]
         in_sets[node] = frozenset(merged)
-        target = stmt_target(cfg.statement(node))
+        target = stmt_target(program.nodes[node])
         if target is not None:
             survivors = {d for d in merged if d.var != target}
         else:
@@ -264,7 +265,7 @@ def live_uses(cfg: ControlFlowGraph) -> dict[int, frozenset[Instance]]:
         for succ in cfg.successors[node]:
             merged |= in_sets[succ]
         out_sets[node] = frozenset(merged)
-        target = stmt_target(cfg.statement(node))
+        target = stmt_target(program.nodes[node])
         if target is not None:
             survivors = {u for u in merged if u.var != target}
         else:
@@ -351,7 +352,7 @@ def dominators(cfg: ControlFlowGraph) -> dict[int, frozenset[int]]:
 def is_reducible(cfg: ControlFlowGraph) -> bool:
     """Reducible iff removing dominator back edges leaves an acyclic graph."""
     dom = dominators(cfg)
-    forward_edges = [(s, t) for s, t in cfg.edges if t not in dom[s] or s == t]
+    forward_edges = [(s, t) for s, t in cfg.program.edges if t not in dom[s] or s == t]
     succ: dict[int, list[int]] = {n: [] for n in cfg.nodes}
     indeg: dict[int, int] = {n: 0 for n in cfg.nodes}
     for s, t in forward_edges:

@@ -165,8 +165,12 @@ def test_criterion_4_edg_structure(fig3, fig3_cfg):
         (N("z", 6), N("w", 7)), (N("w", 7), N("x", 8))}
     weights_ok = (fv_edge_weights.get((N("x", 2), N("y", 5))) == 3
                   and fv_edge_weights.get((N("x", 8), N("y", 5))) == 0)
-    cp_vec = delta_vector(cp, [N("w", 1)], 2)
-    fv_vec = delta_vector(fv, [N("x", 2)], 1)
+    def vector(edg, origin, h_hat):
+        found = delta_vector(edg, [edg.labels.index(origin)], h_hat)
+        return {edg.labels[v]: value for v, value in found.items()}
+
+    cp_vec = vector(cp, N("w", 1), 2)
+    fv_vec = vector(fv, N("x", 2), 1)
     vectors_ok = (
         cp_vec == {N("w", 1): 0, N("z", 7): 6, N("y", 6): 6, N("x", 5): 6, N("w", 8): 6}
         and fv_vec == {N("x", 2): 0, N("y", 5): 6, N("z", 6): 6, N("w", 7): 6, N("x", 8): 6})

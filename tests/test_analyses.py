@@ -132,8 +132,7 @@ class TestCpFramework:
     def test_fig3_dfp_sets(self, fig3, fig3_cfg):
         fw = make_constant_propagation(fig3, fig3_cfg)
         assert fw.dfpuse[7] == frozenset({"w"})
-        assert fw.dfpmod[2] == frozenset()
-        assert fw.dfpmod[5] == frozenset({"x"})
+        assert fw.dfpuse[2] == frozenset()
         assert fw.independent_sources[1] == frozenset({"w"})
         assert fw.independent_sources[5] == frozenset()
 
@@ -180,7 +179,6 @@ class TestFaintVariables:
         assert fw.direction == "backward"
         assert fw.lattice.height == 1
         assert fw.product_lattice_height() == 4
-        assert fw.dfpmod[5] == frozenset({"y"})
         assert fw.dfpuse[5] == frozenset({"x"})
         assert fw.independent_sources[2] == frozenset({"x"})
 

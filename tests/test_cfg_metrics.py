@@ -33,7 +33,7 @@ def test_self_loop_is_back_edge():
 
 
 def test_back_edges_subset_of_edges(fig3_cfg):
-    assert classify_back_edges(fig3_cfg) <= set(fig3_cfg.edges)
+    assert classify_back_edges(fig3_cfg) <= set(fig3_cfg.program.edges)
 
 
 def test_fig3_depth(fig3_cfg):

@@ -1,10 +1,12 @@
 """The pass-bound claim where it can fail.
 
 A dependence that a statement carries around a loop, a family on which
-``B2`` is tight up to a constant while delta grows, and a property
-search over small generated programs.
+``B2`` is tight up to a constant while delta grows, a property search
+over small generated programs, and a sweep over every program of three
+nodes and one variable.
 """
 
+import itertools
 import re
 
 import pytest
@@ -152,3 +154,40 @@ def test_bounds_hold_on_generated_programs(program):
         rr = pipeline.solution(kind)
         wl = worklist_solve(pipeline.framework(kind), pipeline.cfg)
         assert (rr.in_values, rr.out_values) == (wl.in_values, wl.out_values), kind
+
+
+# Every statement over one variable v and the literal 1.
+VOCABULARY = (
+    ConstAssign("v", 1), CopyAssign("v", "v"), BinAssign("v", "v", "+", "v"),
+    BinAssign("v", "v", "+", 1), BinAssign("v", 1, "+", "v"), ReadAssign("v"),
+    Print("v"), Skip(),
+)
+# The ordered pairs of distinct nodes off the chain 1 -> 2 -> 3.
+OFF_CHAIN = ((1, 3), (2, 1), (3, 1), (3, 2))
+
+
+def test_bounds_hold_on_every_three_node_program():
+    """The chain 1 -> 2 -> 3 plus each subset of OFF_CHAIN, with every
+    VOCABULARY statement at every node: 16 CFGs, 8,192 programs.
+    """
+    checked = 0
+    violations = []
+    for subset in range(1 << len(OFF_CHAIN)):
+        edges = ((1, 2), (2, 3)) + tuple(
+            edge for i, edge in enumerate(OFF_CHAIN) if subset >> i & 1)
+        exits = frozenset({1, 2, 3} - {src for src, _ in edges})
+        for statements in itertools.product(VOCABULARY, repeat=3):
+            program = Program(name=f"sweep{checked}", variables=("v",),
+                              nodes=dict(zip((1, 2, 3), statements)),
+                              edges=edges, entry=1, exits=exits)
+            pipeline = ProgramPipeline(program)
+            for kind in ANALYSIS_KINDS:
+                record = pipeline.record(kind)
+                holds = record.iterations <= min(record.b1, record.b2)
+                if kind in BITVECTOR_KINDS:
+                    holds = holds and record.delta == 0 and record.iterations <= 1 + record.d
+                if not holds:
+                    violations.append((edges, statements, record))
+            checked += 1
+    assert checked == 8192
+    assert not violations, f"{len(violations)} violations, first {violations[0]}"

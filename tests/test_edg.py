@@ -23,18 +23,10 @@ from dfalab.analyses import (
 )
 from dfalab.bounds import ProgramPipeline
 from dfalab.cfg_metrics import WeightTable, max_backedge_acyclic_weight
-from dfalab.edg import (
-    EdgEdge,
-    EntityDependenceGraph,
-    MalformedPathError,
-    PathCycle,
-    PathSegment,
-    StructuredPath,
-    path_delta,
-)
+from dfalab.edg import EntityDependenceGraph
 from dfalab.engine import TraceRecord
 from dfalab.generator import GeneratorConfig, generate_program
-from dfalab.ir import CopyAssign
+from dfalab.ir import CopyAssign, stmt_target, stmt_uses
 
 from _oracles import (
     check_monotonic_entity_dependence,
@@ -51,6 +43,23 @@ def N(entity, stmt):
 
 def edge_map(edg):
     return {(e.src, e.dst): e.weight for e in edg.edges}
+
+
+def labelled(edg, vector):
+    """A delta vector keyed by instances instead of node indices."""
+    return {edg.labels[v]: value for v, value in vector.items()}
+
+
+def synthetic_edg(count, edges, entries):
+    """An EDG over nodes 0..count-1 from (src, dst, weight) triples.
+
+    Each node keeps its edges in the order given.
+    """
+    adj = [[] for _ in range(count)]
+    for src, dst, weight in edges:
+        adj[src].append((dst, weight))
+    return EntityDependenceGraph("synthetic", "forward",
+                                 [N(f"e{i}", i) for i in range(count)], adj, sorted(entries))
 
 
 @pytest.fixture(scope="module")
@@ -109,13 +118,13 @@ class TestFig3Structure:
         assert calls == []
 
     def test_entry_nodes(self, cp_edg, fv_edg):
-        assert cp_edg.entry_nodes == {N("w", 1)}
-        assert fv_edg.entry_nodes == {N("x", 2)}
+        assert [cp_edg.labels[i] for i in cp_edg.entries] == [N("w", 1)]
+        assert [fv_edg.labels[i] for i in fv_edg.entries] == [N("x", 2)]
 
     def test_entry_nodes_have_no_predecessors(self, cp_edg, fv_edg):
         for edg in (cp_edg, fv_edg):
-            targets = {e.dst for e in edg.edges}
-            assert not (edg.entry_nodes & targets)
+            targets = {v for out in edg.adj for v, _ in out}
+            assert not (set(edg.entries) & targets)
 
     def test_copies_only_program_has_no_entries(self):
         program = chain_program([CopyAssign("a", "b"), CopyAssign("b", "a")],
@@ -123,8 +132,8 @@ class TestFig3Structure:
         cfg = build_cfg(program)
         fw = make_constant_propagation(program, cfg)
         edg = build_edg(program, fw, cfg=cfg)
-        assert edg.nodes
-        assert edg.entry_nodes == frozenset()
+        assert edg.labels
+        assert edg.entries == []
         assert degree_of_dependence(edg, 2) == 0
 
     def test_weights_match_cfg_metric(self, cp_edg, fv_edg, fig3_cfg):
@@ -141,15 +150,15 @@ class TestFig3Structure:
 
     def test_edges_view_is_sorted_adjacency(self, cp_edg, fv_edg):
         # The integer EDG is written in (statement, entity) order, so its
-        # derived edges come out sorted, and rebuilding it from them
-        # gives back the same adjacency.
+        # derived edges come out sorted, one per adjacency entry.
         def key(edge):
             return (edge.src.stmt, str(edge.src.var), edge.dst.stmt, str(edge.dst.var))
 
         for edg in (cp_edg, fv_edg):
             assert edg.edges == tuple(sorted(edg.edges, key=key))
-            assert EntityDependenceGraph.from_edges(
-                edg.kind, edg.direction, edg.nodes, edg.edges, edg.entry_nodes) == edg
+            index = {label: i for i, label in enumerate(edg.labels)}
+            assert [(index[e.src], index[e.dst], e.weight) for e in edg.edges] == [
+                (u, v, w) for u, out in enumerate(edg.adj) for v, w in out]
 
     def test_missing_cfg_path_is_an_error(self, fig3, fig3_cfg):
         class NoPaths(WeightTable):
@@ -197,83 +206,13 @@ class TestNodesAreRenamedInstances:
     def test_labels_are_the_renamed_space(self, programs, kind):
         for program in programs:
             pipeline = ProgramPipeline(program)
-            fw = pipeline.framework(kind)
             instances = pipeline.framework(edg_module.RENAMED_KIND[kind]).space.entities
-            for j, computed in fw.dfpmod.items():
+            for j, stmt in program.nodes.items():
+                # cp computes the statement's target, faint its operands.
+                computed = ({stmt_target(stmt)} - {None} if kind == "cp"
+                            else stmt_uses(stmt))
                 assert computed == {i.var for i in instances if i.stmt == j}, (program.name, j)
             assert pipeline.edg(kind).labels == list(instances), program.name
-
-
-class TestPathDelta:
-    def test_single_acyclic_edge(self, cp_edg):
-        weights = edge_map(cp_edg)
-        path = StructuredPath(
-            origin=N("w", 1),
-            elements=(PathSegment((EdgEdge(N("w", 1), N("z", 7), weights[(N("w", 1), N("z", 7))]),)),),
-            target=N("z", 7))
-        assert path_delta(cp_edg, path, 2) == 0
-
-    def _cp_cycle(self, cp_edg):
-        w = edge_map(cp_edg)
-        return PathCycle((
-            EdgEdge(N("z", 7), N("y", 6), w[(N("z", 7), N("y", 6))]),
-            EdgEdge(N("y", 6), N("x", 5), w[(N("y", 6), N("x", 5))]),
-            EdgEdge(N("x", 5), N("w", 8), w[(N("x", 5), N("w", 8))]),
-            EdgEdge(N("w", 8), N("z", 7), w[(N("w", 8), N("z", 7))]),
-        ))
-
-    def test_pure_cycle_costs_height_times_weight(self, cp_edg):
-        path = StructuredPath(origin=N("z", 7), elements=(self._cp_cycle(cp_edg),),
-                              target=N("z", 7))
-        assert path_delta(cp_edg, path, 2) == 6
-
-    def test_fv_lead_in_plus_cycle_with_absorbed_target(self, fv_edg):
-        w = edge_map(fv_edg)
-        lead = PathSegment((EdgEdge(N("x", 2), N("y", 5), w[(N("x", 2), N("y", 5))]),))
-        cycle = PathCycle((
-            EdgEdge(N("y", 5), N("z", 6), w[(N("y", 5), N("z", 6))]),
-            EdgEdge(N("z", 6), N("w", 7), w[(N("z", 6), N("w", 7))]),
-            EdgEdge(N("w", 7), N("x", 8), w[(N("w", 7), N("x", 8))]),
-            EdgEdge(N("x", 8), N("y", 5), w[(N("x", 8), N("y", 5))]),
-        ))
-        for target in (N("y", 5), N("z", 6), N("w", 7), N("x", 8)):
-            path = StructuredPath(origin=N("x", 2), elements=(lead, cycle),
-                                  target=target)
-            assert path_delta(fv_edg, path, 1) == 6
-
-    def test_unknown_edge_rejected(self, cp_edg):
-        bogus = EdgEdge(N("w", 1), N("x", 5), 0)
-        path = StructuredPath(origin=N("w", 1),
-                              elements=(PathSegment((bogus,)),), target=N("x", 5))
-        with pytest.raises(MalformedPathError):
-            path_delta(cp_edg, path, 2)
-
-    def test_overlapping_cycle_rejected(self, cp_edg):
-        w = edge_map(cp_edg)
-        lead = PathSegment((
-            EdgEdge(N("w", 1), N("z", 7), w[(N("w", 1), N("z", 7))]),
-            EdgEdge(N("z", 7), N("y", 6), w[(N("z", 7), N("y", 6))]),
-        ))
-        # Cycle anchored at y_6 passes through z_7, already on the path.
-        cycle = PathCycle((
-            EdgEdge(N("y", 6), N("x", 5), w[(N("y", 6), N("x", 5))]),
-            EdgEdge(N("x", 5), N("w", 8), w[(N("x", 5), N("w", 8))]),
-            EdgEdge(N("w", 8), N("z", 7), w[(N("w", 8), N("z", 7))]),
-            EdgEdge(N("z", 7), N("y", 6), w[(N("z", 7), N("y", 6))]),
-        ))
-        path = StructuredPath(origin=N("w", 1), elements=(lead, cycle),
-                              target=N("y", 6))
-        with pytest.raises(MalformedPathError, match="overlapping"):
-            path_delta(cp_edg, path, 2)
-
-    def test_target_off_path_rejected(self, cp_edg):
-        w = edge_map(cp_edg)
-        path = StructuredPath(
-            origin=N("w", 1),
-            elements=(PathSegment((EdgEdge(N("w", 1), N("z", 7), w[(N("w", 1), N("z", 7))]),)),),
-            target=N("x", 5))
-        with pytest.raises(MalformedPathError):
-            path_delta(cp_edg, path, 2)
 
 
 class TestDegreeOfDependence:
@@ -287,27 +226,23 @@ class TestDegreeOfDependence:
         assert ProgramPipeline(fig3).delta("avail") == 0
 
     def test_fig3_delta_vectors(self, cp_edg, fv_edg):
-        cp_vec = delta_vector(cp_edg, [N("w", 1)], 2)
-        assert cp_vec == {N("w", 1): 0, N("z", 7): 6, N("y", 6): 6,
-                          N("x", 5): 6, N("w", 8): 6}
-        fv_vec = delta_vector(fv_edg, [N("x", 2)], 1)
-        assert fv_vec == {N("x", 2): 0, N("y", 5): 6, N("z", 6): 6,
-                          N("w", 7): 6, N("x", 8): 6}
+        cp_vec = delta_vector(cp_edg, [cp_edg.labels.index(N("w", 1))], 2)
+        assert labelled(cp_edg, cp_vec) == {N("w", 1): 0, N("z", 7): 6, N("y", 6): 6,
+                                            N("x", 5): 6, N("w", 8): 6}
+        fv_vec = delta_vector(fv_edg, [fv_edg.labels.index(N("x", 2))], 1)
+        assert labelled(fv_edg, fv_vec) == {N("x", 2): 0, N("y", 5): 6, N("z", 6): 6,
+                                            N("w", 7): 6, N("x", 8): 6}
 
     def test_unknown_origin(self, cp_edg):
-        with pytest.raises(KeyError):
-            delta_vector(cp_edg, [N("q", 99)], 2)
+        for start in (len(cp_edg.labels), -1):
+            with pytest.raises(IndexError):
+                delta_vector(cp_edg, [start], 2)
 
     def test_budget_guard(self):
-        # Dense strongly connected core fed by a single entry node.
-        core = [N(f"e{i}", i) for i in range(2, 10)]
-        entry = N("e1", 1)
-        edges = [EdgEdge(entry, core[0], 1)]
-        edges += [EdgEdge(a, b, 1) for a in core for b in core if a != b]
-        edg = EntityDependenceGraph.from_edges(
-            kind="synthetic", direction="forward",
-            nodes=frozenset([entry] + core), edges=tuple(edges),
-            entry_nodes=frozenset([entry]))
+        # Dense strongly connected core 1..8 fed by the single entry node 0.
+        core = range(1, 9)
+        edges = [(0, 1, 1)] + [(a, b, 1) for a in core for b in core if a != b]
+        edg = synthetic_edg(9, edges, [0])
         with pytest.raises(SearchBudgetExceeded):
             degree_of_dependence(edg, 2, max_steps=50)
 
@@ -315,15 +250,12 @@ class TestDegreeOfDependence:
         # Two entry nodes, each feeding its own dense core, so the sweep
         # needs about the steps of both single-origin sweeps together.
         entries, edges = [], []
-        for tag, base in (("a", 10), ("b", 20)):
-            core = [N(f"{tag}{i}", base + i) for i in range(1, 5)]
-            entries.append(N(tag, base))
-            edges += [EdgEdge(entries[-1], core[0], 1)]
-            edges += [EdgEdge(x, y, 1) for x in core for y in core if x != y]
-        edg = EntityDependenceGraph.from_edges(
-            kind="synthetic", direction="forward",
-            nodes=frozenset(e for edge in edges for e in (edge.src, edge.dst)),
-            edges=tuple(edges), entry_nodes=frozenset(entries))
+        for entry in (0, 5):
+            core = range(entry + 1, entry + 5)
+            entries.append(entry)
+            edges += [(entry, entry + 1, 1)]
+            edges += [(x, y, 1) for x in core for y in core if x != y]
+        edg = synthetic_edg(10, edges, entries)
 
         alone = max(_steps_needed(edg, [origin], 2) for origin in entries)
         assert (alone, _steps_needed(edg, entries, 2)) == (122, 244)
@@ -332,8 +264,8 @@ class TestDegreeOfDependence:
 
     def test_fig3_step_counts(self, cp_edg, fv_edg):
         # Pinned, so that a step budget keeps meaning the same work.
-        assert _steps_needed(cp_edg, cp_edg.entry_nodes, 2) == 15
-        assert _steps_needed(fv_edg, fv_edg.entry_nodes, 1) == 15
+        assert _steps_needed(cp_edg, cp_edg.entries, 2) == 15
+        assert _steps_needed(fv_edg, fv_edg.entries, 1) == 15
 
     def test_generated_step_counts(self):
         # Pinned on the cp/faint EDGs that the first 40 seed-42 programs
@@ -344,18 +276,15 @@ class TestDegreeOfDependence:
             pipeline = ProgramPipeline(generate_program(GeneratorConfig(seed=42), index))
             for kind in ("cp", "faint"):
                 edg = pipeline.edg(kind)
-                if edg.edges and edg.entry_nodes:
-                    total += _steps_needed(edg, edg.entry_nodes,
+                if any(edg.adj) and edg.entries:
+                    total += _steps_needed(edg, edg.entries,
                                            pipeline.framework(kind).lattice.height)
         assert total == 10647
 
     def test_one_sweep_for_all_entry_nodes(self, monkeypatch):
-        a, b, c, d, e = (N(f"e{i}", i) for i in range(1, 6))
-        edg = EntityDependenceGraph.from_edges(
-            kind="synthetic", direction="forward", nodes=frozenset((a, b, c, d, e)),
-            edges=(EdgEdge(a, c, 1), EdgEdge(b, c, 2), EdgEdge(c, d, 1),
-                   EdgEdge(d, c, 1), EdgEdge(b, e, 0)),
-            entry_nodes=frozenset((a, b)))
+        a, b, c, d, e = range(5)
+        edg = synthetic_edg(5, [(a, c, 1), (b, c, 2), (c, d, 1), (d, c, 1), (b, e, 0)],
+                            [a, b])
         calls = []
         original = edg_module.delta_vector
 
@@ -382,21 +311,17 @@ def _steps_needed(edg, origins, h_hat):
 
 
 def _random_edg(rng, nodes=6, density=0.35, max_weight=3):
-    node_list = [N(f"e{i}", i) for i in range(1, nodes + 1)]
     edges = []
-    for src in node_list:
-        for dst in node_list:
+    for src in range(nodes):
+        for dst in range(nodes):
             if src != dst and rng.random() < density:
-                edges.append(EdgEdge(src, dst, rng.randint(0, max_weight)))
+                edges.append((src, dst, rng.randint(0, max_weight)))
     # Self-dependences show up in real EDGs too.
-    for src in node_list:
+    for src in range(nodes):
         if rng.random() < 0.1:
-            edges.append(EdgEdge(src, src, rng.randint(0, max_weight)))
-    targets = {e.dst for e in edges}
-    entries = frozenset(n for n in node_list if n not in targets)
-    return EntityDependenceGraph.from_edges(kind="synthetic", direction="forward",
-                                            nodes=frozenset(node_list),
-                                            edges=tuple(edges), entry_nodes=entries)
+            edges.append((src, src, rng.randint(0, max_weight)))
+    targets = {dst for _, dst, _ in edges}
+    return synthetic_edg(nodes, edges, [n for n in range(nodes) if n not in targets])
 
 
 class TestAgainstEnumeration:
@@ -413,7 +338,7 @@ class TestAgainstEnumeration:
         rng = random.Random(seed)
         edg = _random_edg(rng, nodes=rng.randint(2, 7), density=rng.uniform(0.15, 0.5))
         h_hat = rng.randint(1, 3)
-        nodes = sorted(edg.nodes, key=lambda n: n.stmt)
+        nodes = list(range(len(edg.labels)))
         if single:
             origin_sets = [[n] for n in nodes]
         else:
@@ -436,7 +361,7 @@ class TestAgainstEnumeration:
                             (make_faint_variables, 1)):
             fw = make(program, cfg)
             edg = build_edg(program, fw, cfg=cfg)
-            if len(edg.nodes) > 10:
+            if len(edg.labels) > 10:
                 continue
             assert degree_of_dependence(edg, h_hat) == enumerate_degree(edg, h_hat)
 

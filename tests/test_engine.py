@@ -242,7 +242,7 @@ class TestMonotonicity:
 
         return FrameworkInstance(
             kind="broken", direction="forward", space=space,
-            transfers={1: broken}, dfpmod={1: frozenset(("x",))},
+            transfers={1: broken},
             dfpuse={1: frozenset()}, independent_sources={1: frozenset()})
 
     def test_broken_transfer_detected(self):
@@ -266,7 +266,6 @@ def test_divergence_guard_fires():
     fw = FrameworkInstance(
         kind="oscillator", direction="forward", space=space,
         transfers={1: flip, 2: flip},
-        dfpmod={1: frozenset(("x",)), 2: frozenset(("x",))},
         dfpuse={1: frozenset(), 2: frozenset()},
         independent_sources={1: frozenset(), 2: frozenset()})
     with pytest.raises(DivergenceError):

@@ -191,7 +191,7 @@ class TestCfg:
         cfg = build_cfg(single_skip)
         assert cfg.successors[1] == ()
         assert cfg.entry == 1
-        assert cfg.exits == frozenset({1})
+        assert cfg.program.exits == frozenset({1})
 
     def test_mutual_consistency(self, fig3_cfg):
         for src, succs in fig3_cfg.successors.items():
