@@ -23,8 +23,8 @@ from .ir import (
 from .cfg_metrics import SearchBudgetExceeded
 from .engine import DivergenceError, round_robin_solve, worklist_solve
 from .analyses import ANALYSIS_KINDS, make_constant_propagation, make_framework
-from .edg import build_edg, degree_of_dependence, delta_vector
-from .bounds import BoundsRecord, ProgramPipeline, emit_report, make_record
+from .edg import degree_of_dependence, delta_vector
+from .bounds import BoundsRecord, ProgramPipeline, emit_report
 from .generator import GeneratorConfig, generate_corpus, generate_program
 
 __version__ = "0.1.0"

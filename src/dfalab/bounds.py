@@ -80,10 +80,12 @@ class BoundsRecord:
 class ProgramPipeline:
     """Metrics -> framework -> solve -> EDG -> delta -> bounds, with caching.
 
-    One pipeline per program; CFG metrics and pairwise weights are
-    shared across analysis kinds, and the ``reach``/``live`` solutions
-    also resolve the ``cp``/``faint`` EDG instances.  A separable
-    framework gets delta 0 and no EDG.  Solves record no trace.
+    The one assembler of records: each stage is called with the inputs
+    the pipeline holds.  One pipeline per program; CFG metrics and
+    pairwise weights are shared across analysis kinds, and the
+    ``reach``/``live`` solutions also resolve the ``cp``/``faint`` EDG
+    instances.  A separable framework gets delta 0 and no EDG.  Solves
+    record no trace.
     """
 
     def __init__(self, program: Program):
@@ -101,7 +103,7 @@ class ProgramPipeline:
 
     def framework(self, kind: str) -> FrameworkInstance:
         if kind not in self._frameworks:
-            self._frameworks[kind] = make_framework(self.program, kind, self.cfg)
+            self._frameworks[kind] = make_framework(self.program, kind)
         return self._frameworks[kind]
 
     def solution(self, kind: str) -> SolveResult:
@@ -146,12 +148,7 @@ class ProgramPipeline:
             bound_violated=iterations > b2 or iterations > b1)
 
 
-def make_record(program: Program, kind: str) -> BoundsRecord:
-    """Run the full pipeline for one (program, analysis) pair."""
-    return ProgramPipeline(program).record(kind)
-
-
-def emit_report(records: list[BoundsRecord], format: str = "csv") -> bytes:
+def emit_report(records: list[BoundsRecord], format: str) -> bytes:
     """Render records, preserving input order, as CSV or JSON bytes."""
     if format == "csv":
         lines = [CSV_HEADER]

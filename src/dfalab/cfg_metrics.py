@@ -13,19 +13,22 @@ the visit order (Kam & Ullman 1976).
 The depth d is the maximum number of back edges on any node-simple
 path; the weight of a statement pair asks the same question for paths
 between the two.  Both are exact backtracking searches over the
-indices of ``cfg.nodes`` with int-bitmask node sets.  The depth search
-prunes with a free-head bound: a node-simple path enters each head at
-most once, so from node x it can gain at most one back edge per
-unvisited head h of a back edge (l, h) whose tail l x reaches without
-passing h.  Those "behind" sets are built once per CFG and also bound
-the weight searches.  Weights are searched once per source: one
-search from a statement enters only nodes that reach one of its open
-targets (closures built once per CFG), records the weight at every
-target it passes without stopping there, and closes a target once it
-attains its bound.  The bound counts the back edges a path to the
-target could take, each one whose tail the source reaches without
-passing its head and whose head reaches the target, capped at d; a
-target whose bound is 0 needs no search.  A node cap of 64 rejects
+indices of ``cfg.nodes`` with int-bitmask node sets, reached through
+a ``WeightTable``: its ``depth`` and ``weight`` run ``depth`` and
+``max_backedge_acyclic_weight`` on its per-CFG facts and keep their
+results.  The depth search prunes with a free-head bound: a
+node-simple path enters each head at most once, so from node x it can
+gain at most one back edge per unvisited head h of a back edge (l, h)
+whose tail l x reaches without passing h.  Those "behind" sets are
+built once per CFG and also bound the weight searches.  Weights are
+searched once per source: one search from a statement enters only
+nodes that reach one of its open targets (closures built once per
+CFG), records the weight at every target it passes without stopping
+there, and closes a target once it attains its bound.  The bound
+counts the back edges a path to the target could take, each one
+whose tail the source reaches without passing its head and whose head
+reaches the target, capped at d; a target whose bound is 0 needs no
+search.  A node cap of 64 rejects
 inputs where exactness is no longer desk-scale, and a budget of ten
 million steps bounds the depth search and each source's weight search.
 """
@@ -84,11 +87,9 @@ def _closure(neighbours: list[list[int]], order: list[int]) -> list[int]:
     return masks
 
 
-def depth(cfg: ControlFlowGraph, *, table: WeightTable | None = None) -> int:
-    """Maximum number of back edges on any node-simple path."""
-    _check_node_cap(cfg)
-    if table is None:
-        table = WeightTable(cfg)
+def depth(table: WeightTable) -> int:
+    """Maximum number of back edges on any node-simple path of ``table.cfg``."""
+    _check_node_cap(table.cfg)
     succ = table.succ
     heads = table.heads_ahead
     cap = DEFAULT_STEP_CAP
@@ -118,26 +119,18 @@ def depth(cfg: ControlFlowGraph, *, table: WeightTable | None = None) -> int:
     return best
 
 
-def max_backedge_acyclic_weight(cfg: ControlFlowGraph, frm: int, to: int, *,
-                                table: WeightTable | None = None) -> int | None:
-    """Maximum back-edge count over node-simple paths from `frm` to `to`.
+def max_backedge_acyclic_weight(table: WeightTable, frm: int,
+                                targets: Iterable[int]) -> dict[int, int | None]:
+    """Maximum back-edge count over node-simple paths from `frm` to each target.
 
-    Returns 0 for frm == to (the empty path) and None when `to` is
-    unreachable from `frm`.  `table` shares the CFG's facts across
-    calls: the one search from `frm` also settles every target that
-    ``table.expect`` announced for `frm`, and stores their weights there.
-    A target's bound is the number of back edges a path from `frm` to
-    it could take, capped at the depth; a target whose bound is 0 gets
-    0 without a search.
+    `targets` are node indices of `table`; the result maps each to its
+    weight, from one search: 0 for `frm` itself (the empty path) and
+    None for a target unreachable from `frm`.  A target's bound is the
+    number of back edges a path from `frm` to it could take, capped at
+    the depth; a target whose bound is 0 gets 0 without a search.
     """
-    if frm not in cfg.successors or to not in cfg.successors:
-        raise KeyError(f"unknown node in pair ({frm}, {to})")
-    _check_node_cap(cfg)
-    if frm == to:
-        return 0
-    if table is None:
-        table = WeightTable(cfg)
-    source, target = table.index[frm], table.index[to]
+    source = table.index[frm]
+    _check_node_cap(table.cfg)
     reach = table.closures[0][source]
     # (tail, nodes reached from its head) of each back edge that a path
     # from frm can take.
@@ -145,7 +138,7 @@ def max_backedge_acyclic_weight(cfg: ControlFlowGraph, frm: int, to: int, *,
               if behind >> source & 1]
     found: dict[int, int | None] = {}
     bounds: dict[int, int] = {}
-    for t in table._expected.pop(frm, set()) | {target}:
+    for t in targets:
         if t == source:
             found[t] = 0
         elif not reach >> t & 1:
@@ -157,10 +150,7 @@ def max_backedge_acyclic_weight(cfg: ControlFlowGraph, frm: int, to: int, *,
                 bounds[t] = min(count, table.depth)
     if bounds:
         _longest_paths(table, frm, usable, found, bounds)
-    nodes = cfg.nodes
-    for t, weight in found.items():
-        table._cache[frm, nodes[t]] = weight
-    return found[target]
+    return found
 
 
 def _longest_paths(table: WeightTable, frm: int, usable: list[tuple[int, int]],
@@ -334,11 +324,16 @@ class WeightTable:
                 expected.setdefault(frm, set()).add(index[to])
 
     def weight(self, frm: int, to: int) -> int | None:
+        """The weight of (frm, to); the first miss for `frm` settles its announced targets too."""
         key = (frm, to)
         if key not in self._cache:
-            self._cache[key] = max_backedge_acyclic_weight(self.cfg, frm, to, table=self)
+            target = self.index[to]
+            targets = self._expected.pop(frm, set()) | {target}
+            nodes = self.cfg.nodes
+            for t, weight in max_backedge_acyclic_weight(self, frm, targets).items():
+                self._cache[frm, nodes[t]] = weight
         return self._cache[key]
 
     @cached_property
     def depth(self) -> int:
-        return depth(self.cfg, table=self)
+        return depth(self)

@@ -96,8 +96,7 @@ def _write_bytes(data: bytes, out: str | None) -> None:
         Path(out).write_bytes(data)
 
 
-def cmd_report(paths: list[str], kinds: list[str], fmt: str,
-               out: str | None = None) -> int:
+def cmd_report(paths: list[str], kinds: list[str], fmt: str, out: str | None) -> int:
     errors: list[str] = []
     records, _ = _records_for(_load_programs([Path(p) for p in paths], errors),
                               kinds, errors)
@@ -125,8 +124,7 @@ def _histogram_text(values: list[int]) -> str:
     return "".join(f"{dev} {counts[dev]}\n" for dev in sorted(counts))
 
 
-def cmd_corpus(directory: str, kinds: list[str], fmt: str,
-               out: str | None = None) -> int:
+def cmd_corpus(directory: str, kinds: list[str], fmt: str, out: str | None) -> int:
     base = Path(directory)
     paths = sorted(base.glob("*.prog"))
     if not paths:

@@ -7,8 +7,10 @@ alpha coming from statement i.  Instances are resolved with the
 solution of the renamed reaching-definitions framework (``reach``, for
 forward analyses) or the renamed live-uses framework (``live``, for
 backward analyses): they are the set bits of that solution's masks,
-named through its ``space``.  A framework whose transfers read no
-entity is separable: its delta is 0 and it gets no EDG.
+named through its ``space``.  ``build_edg`` takes that solution, the
+CFG and its ``WeightTable`` from ``ProgramPipeline``, which holds
+them.  A framework whose transfers read no entity is separable: its
+delta is 0 and it gets no EDG.
 
 Each edge carries the maximum back-edge count over acyclic CFG paths
 between its two statements, oriented by analysis direction.  An edge
@@ -37,8 +39,8 @@ longest-path sweep over the condensation, seeded at every entry node.  Only the 
 charged, which is sound under monotonic entity dependence (condition
 10; the test suite checks it on solve traces).  The search reads the
 adjacency as built, with node sets as int bitmasks.  The search for
-one EDG may take one million steps per entry node, pooled over the
-sweep.
+one EDG may take ``DEFAULT_DELTA_STEP_CAP`` (one million) steps per
+entry node, pooled over the sweep.
 """
 
 from __future__ import annotations
@@ -47,21 +49,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-from .analyses import (
-    CP_KIND,
-    FAINT_KIND,
-    LIVE_KIND,
-    REACH_KIND,
-    Instance,
-    make_bitvector_framework,
-)
+from .analyses import CP_KIND, FAINT_KIND, LIVE_KIND, REACH_KIND, Instance
 from .cfg_metrics import FORWARD, SearchBudgetExceeded, WeightTable
-from .engine import (
-    FrameworkInstance,
-    SolveResult,
-    round_robin_solve,
-)
-from .ir import ControlFlowGraph, Program, build_cfg
+from .engine import FrameworkInstance, SolveResult
+from .ir import ControlFlowGraph, Program
 
 DEFAULT_DELTA_STEP_CAP = 1_000_000
 _DELTA_BUDGET_MESSAGE = "degree-of-dependence enumeration exceeded its step budget"
@@ -88,7 +79,6 @@ class EntityDependenceGraph:
     """
 
     kind: str
-    direction: str
     labels: list[Instance]
     adj: list[list[tuple[int, int]]]
     entries: list[int]
@@ -110,30 +100,21 @@ class EntityDependenceGraph:
 RENAMED_KIND = {CP_KIND: REACH_KIND, FAINT_KIND: LIVE_KIND}
 
 
-def build_edg(program: Program, fw: FrameworkInstance, *,
-              cfg: ControlFlowGraph | None = None,
-              weights: WeightTable | None = None,
-              renamed: SolveResult | None = None) -> EntityDependenceGraph:
+def build_edg(program: Program, fw: FrameworkInstance, *, cfg: ControlFlowGraph,
+              weights: WeightTable, renamed: SolveResult) -> EntityDependenceGraph:
     """Construct the EDG of a ``cp`` or ``faint`` instance.
 
     Each renamed instance arriving at statement j whose variable j's
     flow function reads gets an edge to every entity j computes: for
     ``cp`` the definitions reaching j's entry, for ``faint`` the uses
     live at j's exit.  ``renamed`` is the solution of the
-    ``RENAMED_KIND`` analysis: its entities are the EDG nodes and its
-    set mask bits the instances arriving.  It is solved here when
-    omitted.
+    ``RENAMED_KIND`` analysis on `cfg`: its entities are the EDG nodes
+    and its set mask bits the instances arriving.  `weights` is the
+    CFG's weight table.  `program` is not read; it stays first because
+    the benchmark's tracer reads the framework as the second argument.
     """
     if fw.kind not in RENAMED_KIND:
         raise ValueError(f"no EDG construction rule for kind {fw.kind!r}")
-    if cfg is None:
-        cfg = build_cfg(program)
-    if weights is None:
-        weights = WeightTable(cfg)
-    if renamed is None:
-        renamed = round_robin_solve(
-            make_bitvector_framework(program, RENAMED_KIND[fw.kind], cfg), cfg,
-            record_trace=False)
     # EDG node i is renamed instance i; own[j] lists the instances at
     # statement j, the entities j computes.
     labels = list(renamed.space.entities)
@@ -188,7 +169,7 @@ def build_edg(program: Program, fw: FrameworkInstance, *,
     sources = fw.independent_sources
     entries = [i for i, inst in enumerate(labels)
                if inst.var in sources[inst.stmt] and inst.stmt not in targeted]
-    return EntityDependenceGraph(fw.kind, fw.direction, labels, adj, entries)
+    return EntityDependenceGraph(fw.kind, labels, adj, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -327,8 +308,7 @@ def _scan_component(adj: dict[int, list[tuple[int, int, int]]], h_hat: int,
     return end0, end1, absorbed, steps
 
 
-def delta_vector(edg: EntityDependenceGraph, starts: list[int], h_hat: int, *,
-                 max_steps: int = DEFAULT_DELTA_STEP_CAP) -> dict[int, int]:
+def delta_vector(edg: EntityDependenceGraph, starts: list[int], h_hat: int) -> dict[int, int]:
     """Best propagation cost from any of the nodes `starts` to every reachable node.
 
     Condenses the EDG into SCCs, runs the exhaustive structure search
@@ -338,14 +318,15 @@ def delta_vector(edg: EntityDependenceGraph, starts: list[int], h_hat: int, *,
     single-origin vectors.  At most one cycle is ever charged, so a
     single taken/not-taken flag suffices in the sweep.
 
-    The sweep may take `max_steps` per origin, pooled.  It runs each
-    component scan once where separate single-origin sweeps would
-    repeat it, so it never needs more steps than they need together.
+    The sweep may take ``DEFAULT_DELTA_STEP_CAP`` steps per origin,
+    pooled.  It runs each component scan once where separate
+    single-origin sweeps would repeat it, so it never needs more steps
+    than they need together.
     """
     adj = edg.adj
     if not all(0 <= start < len(adj) for start in starts):
         raise IndexError(f"start nodes {starts} are not all in 0..{len(adj) - 1}")
-    steps = max_steps * len(starts)
+    steps = DEFAULT_DELTA_STEP_CAP * len(starts)
     # The best value arriving at each node with no cycle charged yet
     # (in0) and with one (in1); -1 for none, as weights are not negative.
     in0 = [-1] * len(adj)
@@ -398,8 +379,7 @@ def delta_vector(edg: EntityDependenceGraph, starts: list[int], h_hat: int, *,
     return result
 
 
-def degree_of_dependence(edg: EntityDependenceGraph, h_hat: int, *,
-                         max_steps: int = DEFAULT_DELTA_STEP_CAP) -> int:
+def degree_of_dependence(edg: EntityDependenceGraph, h_hat: int) -> int:
     """Maximum propagation cost over all entry nodes and targets.
 
     Zero for edgeless graphs and for graphs without entry nodes (no
@@ -407,5 +387,5 @@ def degree_of_dependence(edg: EntityDependenceGraph, h_hat: int, *,
     """
     if not edg.entries or not any(edg.adj):
         return 0
-    return max(delta_vector(edg, edg.entries, h_hat, max_steps=max_steps).values())
+    return max(delta_vector(edg, edg.entries, h_hat).values())
 

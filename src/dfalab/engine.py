@@ -154,9 +154,6 @@ class FrameworkInstance:
     def lattice(self) -> ComponentLattice:
         return self.space.lattice
 
-    def product_lattice_height(self) -> int:
-        return product_height(self.lattice.height, len(self.space))
-
 
 @dataclass(frozen=True)
 class TraceRecord:
@@ -187,7 +184,7 @@ class DivergenceError(RuntimeError):
 
 
 def _pass_budget(fw: FrameworkInstance, cfg: ControlFlowGraph) -> int:
-    return 2 + fw.product_lattice_height() * len(cfg.nodes)
+    return 2 + product_height(fw.lattice.height, len(fw.space)) * len(cfg.nodes)
 
 
 @dataclass(frozen=True)

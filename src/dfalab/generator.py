@@ -13,12 +13,9 @@ serialized, byte-identical files.
 
 from __future__ import annotations
 
-import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
-from types import MappingProxyType
-from typing import Mapping
 
 from .ir import (
     BinAssign,
@@ -39,6 +36,11 @@ DEFAULT_STMT_WEIGHTS: dict[str, float] = {
     "print": 2.0,
     "skip": 1.0,
 }
+# The statement kinds and the running sums that rng.choices(weights=...)
+# would build on every draw; the draw itself is the same single
+# random() call.
+_KINDS = tuple(DEFAULT_STMT_WEIGHTS)
+_CUM_WEIGHTS = tuple(accumulate(DEFAULT_STMT_WEIGHTS.values()))
 
 _VAR_POOL = "abcdefghijklmnopqrstuvwxyz"
 
@@ -49,27 +51,18 @@ class GeneratorConfig:
 
     ``variable_count`` may be a fixed int or an inclusive (lo, hi)
     range sampled per program.  ``node_budget`` bounds the node count
-    from above; the structural builder may stop short.  ``stmt_weights``
-    maps statement kinds of ``DEFAULT_STMT_WEIGHTS`` to finite,
-    non-negative weights with a positive, finite total; the config keeps
-    a read-only copy.  Out-of-range values raise ValueError.  Configs
-    are immutable and hashable.
+    from above; the structural builder may stop short.  Statement kinds
+    are drawn with ``DEFAULT_STMT_WEIGHTS``.  Out-of-range values raise
+    ValueError.  Configs are immutable and hashable.
     """
 
     seed: int = 42
     node_budget: int = 60
     variable_count: int | tuple[int, int] = (4, 8)
     loop_depth: int = 2
-    # Stored as a read-only copy in the caller's order, so that neither
-    # the config nor the caller's dict can change after the checks.  The
-    # copy is unhashable and left out of the hash; equal configs still
-    # hash equal.
-    stmt_weights: Mapping[str, float] = field(
-        default_factory=lambda: DEFAULT_STMT_WEIGHTS, hash=False)
     irreducible_edge_probability: float = 0.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "stmt_weights", MappingProxyType(dict(self.stmt_weights)))
         if self.node_budget < 1:
             raise ValueError(f"node budget must be at least 1, got {self.node_budget}")
         if self.loop_depth < 0:
@@ -83,15 +76,6 @@ class GeneratorConfig:
             raise ValueError(f"variable count range {count} is empty")
         if lo < 1:
             raise ValueError(f"variable count must be at least 1, got {count}")
-        for kind, weight in self.stmt_weights.items():
-            if kind not in DEFAULT_STMT_WEIGHTS:
-                raise ValueError(f"statement weights name unknown kind {kind!r}; "
-                                 f"the kinds are {', '.join(DEFAULT_STMT_WEIGHTS)}")
-            if not (math.isfinite(weight) and weight >= 0):
-                raise ValueError(f"statement weight of {kind!r} must be finite "
-                                 f"and non-negative, got {weight}")
-        if not 0 < sum(self.stmt_weights.values()) < math.inf:
-            raise ValueError("statement weights must have a positive, finite total")
 
 
 class _Builder:
@@ -108,11 +92,6 @@ class _Builder:
         # An ordered set: a dict keeps its keys in the order they were
         # first connected, and connecting an edge again adds nothing.
         self.edges: dict[tuple[int, int], None] = {}
-        self.kinds = list(config.stmt_weights.keys())
-        # The running sums that rng.choices(weights=...) would build on
-        # every draw; the draw itself is the same single random() call.
-        self.cum_weights = list(accumulate(
-            float(config.stmt_weights[k]) for k in self.kinds))
 
     def fresh_node(self, stmt: Statement) -> int:
         node_id = len(self.nodes) + 1
@@ -123,7 +102,7 @@ class _Builder:
         self.edges[src, dst] = None
 
     def random_stmt(self) -> Statement:
-        kind = self.rng.choices(self.kinds, cum_weights=self.cum_weights, k=1)[0]
+        kind = self.rng.choices(_KINDS, cum_weights=_CUM_WEIGHTS, k=1)[0]
         rng = self.rng
         var = lambda: rng.choice(self.variables)
         if kind == "const":
@@ -216,13 +195,10 @@ class _Builder:
                 self.connect(src, dst if dst < src else dst + 1)
 
 
-def generate_program(config: GeneratorConfig, index: int = 0,
-                     name: str | None = None) -> Program:
-    """Generate one program; deterministic in (config, index)."""
+def generate_program(config: GeneratorConfig, index: int) -> Program:
+    """Generate program ``p{index:04d}``; deterministic in (config, index)."""
     rng = random.Random(f"{config.seed}/{index}")
-    if name is None:
-        name = f"p{index:04d}"
-    return _Builder(rng, config, name).build()
+    return _Builder(rng, config, f"p{index:04d}").build()
 
 
 def generate_corpus(config: GeneratorConfig, count: int) -> list[Program]:

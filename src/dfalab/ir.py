@@ -286,6 +286,8 @@ class _LineParser:
         if keyword == "program":
             if len(tokens) != 2 or not _is_name(tokens[1]):
                 raise ParseError("expected 'program NAME'", lineno, 1)
+            if self.name is not None:
+                raise ParseError("second 'program' line", lineno, 1)
             self.name = tokens[1]
         elif keyword == "vars":
             rest = line.split(None, 1)

@@ -14,17 +14,15 @@ import pytest
 
 from dfalab import (
     build_cfg,
-    build_edg,
     degree_of_dependence,
     delta_vector,
     emit_report,
-    make_constant_propagation,
     round_robin_solve,
     worklist_solve,
 )
-from dfalab.analyses import Instance, make_faint_variables
+from dfalab.analyses import Instance
 from dfalab.bounds import ProgramPipeline
-from dfalab.cfg_metrics import classify_back_edges, depth, max_backedge_acyclic_weight
+from dfalab.cfg_metrics import WeightTable, classify_back_edges
 from dfalab.generator import GeneratorConfig, generate_corpus
 
 from _oracles import (
@@ -145,11 +143,10 @@ def test_criterion_3_swap_experiment(fig3, fig3_swap):
     assert announce(3, ok, "swap keeps d/Hhat/H/B1, " + ", ".join(detail))
 
 
-def test_criterion_4_edg_structure(fig3, fig3_cfg):
-    cp_fw = make_constant_propagation(fig3, fig3_cfg)
-    fv_fw = make_faint_variables(fig3, fig3_cfg)
-    cp = build_edg(fig3, cp_fw, cfg=fig3_cfg)
-    fv = build_edg(fig3, fv_fw, cfg=fig3_cfg)
+def test_criterion_4_edg_structure(fig3):
+    pipeline = ProgramPipeline(fig3)
+    cp = pipeline.edg("cp")
+    fv = pipeline.edg("faint")
 
     def N(entity, stmt):
         return Instance(entity, stmt)
@@ -215,23 +212,23 @@ def test_criterion_7_oracle_equivalence(corpus, small_corpus):
         cfg = build_cfg(program)
         assert len(cfg.nodes) <= 12
         back = classify_back_edges(cfg)
-        if depth(cfg) != enumerate_depth(cfg, back):
+        table = WeightTable(cfg)
+        if table.depth != enumerate_depth(cfg, back):
             metric_disagreements.append((program.name, "depth"))
         for a in cfg.nodes:
             for b in cfg.nodes:
-                got = max_backedge_acyclic_weight(cfg, a, b)
+                got = table.weight(a, b)
                 want = 0 if a == b else enumerate_pair_weight(cfg, back, a, b)
                 if got != want:
                     metric_disagreements.append((program.name, (a, b)))
-        for make, h_hat in ((make_constant_propagation, 2),
-                            (make_faint_variables, 1)):
-            fw = make(program, cfg)
-            edg = build_edg(program, fw, cfg=cfg)
+        pipeline = ProgramPipeline(program)
+        for kind, h_hat in (("cp", 2), ("faint", 1)):
+            edg = pipeline.edg(kind)
             if len(edg.nodes) > 10:
                 continue
             small_edgs += 1
             if degree_of_dependence(edg, h_hat) != enumerate_degree(edg, h_hat):
-                edg_disagreements.append((program.name, fw.kind))
+                edg_disagreements.append((program.name, kind))
 
     ok = (not mismatches and not metric_disagreements and not edg_disagreements
           and small_edgs >= 50)
@@ -266,4 +263,4 @@ def test_criterion_9_deviation_medians(corpus):
 
 def test_report_bytes_are_pinned(corpus):
     records = [r for kind in NONSEPARABLE + BITVECTOR for r in corpus["records"][kind]]
-    assert hashlib.sha256(emit_report(records)).hexdigest() == REPORT_SHA256
+    assert hashlib.sha256(emit_report(records, "csv")).hexdigest() == REPORT_SHA256

@@ -20,7 +20,7 @@ from dfalab.analyses import (
     make_faint_variables,
     program_expressions,
 )
-from dfalab.engine import EntitySpace, MaskSpace
+from dfalab.engine import EntitySpace, MaskSpace, product_height
 from dfalab.analyses import CP_LATTICE
 from dfalab.generator import GeneratorConfig, generate_program
 from dfalab.ir import (
@@ -122,15 +122,15 @@ class TestCpTransfer:
 
 
 class TestCpFramework:
-    def test_fig3_shape(self, fig3, fig3_cfg):
-        fw = make_constant_propagation(fig3, fig3_cfg)
+    def test_fig3_shape(self, fig3):
+        fw = make_constant_propagation(fig3)
         assert len(fw.entities) == 4
         assert fw.lattice.height == 2
-        assert fw.product_lattice_height() == 8
+        assert product_height(fw.lattice.height, len(fw.space)) == 8
         assert fw.direction == "forward"
 
-    def test_fig3_dfp_sets(self, fig3, fig3_cfg):
-        fw = make_constant_propagation(fig3, fig3_cfg)
+    def test_fig3_dfp_sets(self, fig3):
+        fw = make_constant_propagation(fig3)
         assert fw.dfpuse[7] == frozenset({"w"})
         assert fw.dfpuse[2] == frozenset()
         assert fw.independent_sources[1] == frozenset({"w"})
@@ -140,13 +140,11 @@ class TestCpFramework:
         # Every constant the analysis reports must hold on every
         # concrete execution path that assigns the variable at all.
         config = GeneratorConfig(seed=11, node_budget=10, variable_count=3,
-                                 loop_depth=0,
-                                 stmt_weights={"const": 4, "copy": 2, "binop": 4,
-                                               "read": 1, "print": 1, "skip": 1})
+                                 loop_depth=0)
         for index in range(30):
             program = generate_program(config, index)
             cfg = build_cfg(program)
-            fw = make_constant_propagation(program, cfg)
+            fw = make_constant_propagation(program)
             solution = round_robin_solve(fw, cfg, record_trace=False)
             for node, env in execute_all_paths(cfg):
                 abstract = solution.in_values[node]
@@ -174,18 +172,18 @@ class TestFaintVariables:
         out = fv(BinAssign("x", "x", "+", 1), {"x": NOT_FAINT})
         assert out["x"] is NOT_FAINT
 
-    def test_fig3_shape(self, fig3, fig3_cfg):
-        fw = make_faint_variables(fig3, fig3_cfg)
+    def test_fig3_shape(self, fig3):
+        fw = make_faint_variables(fig3)
         assert fw.direction == "backward"
         assert fw.lattice.height == 1
-        assert fw.product_lattice_height() == 4
+        assert product_height(fw.lattice.height, len(fw.space)) == 4
         assert fw.dfpuse[5] == frozenset({"x"})
         assert fw.independent_sources[2] == frozenset({"x"})
 
     def test_fig3_no_faint_assignment(self, fig3, fig3_cfg):
         # The print keeps the whole w->z->y->x chain strongly live, so
         # no assignment writes a faint variable and nothing is removable.
-        fw = make_faint_variables(fig3, fig3_cfg)
+        fw = make_faint_variables(fig3)
         solution = round_robin_solve(fw, fig3_cfg, record_trace=False)
         for node, stmt in fig3.nodes.items():
             target = stmt_target(stmt)
@@ -199,7 +197,7 @@ class TestFaintVariables:
                      for i in range(15)]
         for program in programs:
             cfg = build_cfg(program)
-            fw = make_faint_variables(program, cfg)
+            fw = make_faint_variables(program)
             solution = round_robin_solve(fw, cfg, record_trace=False)
             live_in, live_out = strongly_live(cfg)
             for node in cfg.nodes:
@@ -214,8 +212,8 @@ class TestFaintVariables:
 
 
 class TestBitVector:
-    def test_fig3_avail_entities(self, fig3, fig3_cfg):
-        fw = make_bitvector_framework(fig3, "avail", fig3_cfg)
+    def test_fig3_avail_entities(self, fig3):
+        fw = make_bitvector_framework(fig3, "avail")
         assert set(fw.entities) == {"y+2", "z+3", "w-1", "x+1"}
 
     def test_literal_only_expressions_excluded(self):
@@ -226,7 +224,7 @@ class TestBitVector:
     def test_fig3_avail_kills(self, fig3, fig3_cfg):
         # On top (all available), a transfer sets the bits of the
         # expressions its assignment kills, and no others.
-        fw = make_bitvector_framework(fig3, "avail", fig3_cfg)
+        fw = make_bitvector_framework(fig3, "avail")
         bit = {e: 1 << i for e, i in fw.space.index.items()}
         kills = {1: "w-1", 5: "x+1", 6: "y+2", 7: "z+3", 8: "w-1"}
         for node in fig3_cfg.nodes:
@@ -255,13 +253,13 @@ class TestBitVector:
                         assert not changed & ~(1 << i), (program.name, node, i)
 
     def test_fig3_reaching_defs_of_w_at_node7(self, fig3, fig3_cfg):
-        fw = make_bitvector_framework(fig3, "reach", fig3_cfg)
+        fw = make_bitvector_framework(fig3, "reach")
         solution = round_robin_solve(fw, fig3_cfg, record_trace=False)
         reaching = at_bottom(fw.space, solution.in_values[7])
         assert {d for d in reaching if d.var == "w"} == {Instance("w", 1), Instance("w", 8)}
 
     def test_fig3_live_uses_of_x_at_exit5(self, fig3, fig3_cfg):
-        fw = make_bitvector_framework(fig3, "live", fig3_cfg)
+        fw = make_bitvector_framework(fig3, "live")
         solution = round_robin_solve(fw, fig3_cfg, record_trace=False)
         live = at_bottom(fw.space, solution.out_values[5])
         assert {u for u in live if u.var == "x"} == {Instance("x", 2), Instance("x", 8)}
@@ -269,7 +267,7 @@ class TestBitVector:
     def test_transfers_idempotent(self, fig3, fig3_cfg):
         rng = random.Random(99)
         for kind in ("avail", "reach", "live"):
-            fw = make_bitvector_framework(fig3, kind, fig3_cfg)
+            fw = make_bitvector_framework(fig3, kind)
             for node in fig3_cfg.nodes:
                 f = fw.transfers[node]
                 for _ in range(25):
@@ -286,13 +284,13 @@ class TestBitVector:
                 is make_bitvector_framework(fig3_swap, kind).lattice)
 
 
-def test_all_five_analyses_are_monotonic(fig3, fig3_cfg):
+def test_all_five_analyses_are_monotonic(fig3):
     frameworks = [
-        make_constant_propagation(fig3, fig3_cfg),
-        make_faint_variables(fig3, fig3_cfg),
-        make_bitvector_framework(fig3, "avail", fig3_cfg),
-        make_bitvector_framework(fig3, "reach", fig3_cfg),
-        make_bitvector_framework(fig3, "live", fig3_cfg),
+        make_constant_propagation(fig3),
+        make_faint_variables(fig3),
+        make_bitvector_framework(fig3, "avail"),
+        make_bitvector_framework(fig3, "reach"),
+        make_bitvector_framework(fig3, "live"),
     ]
     for fw in frameworks:
         assert check_monotonicity(fw, 1000, seed=42), fw.kind
@@ -305,7 +303,7 @@ class TestRenamedSetAnalyses:
     def test_reaching_definitions_match(self, seed):
         program = generate_program(GeneratorConfig(seed=seed, node_budget=18), seed)
         cfg = build_cfg(program)
-        fw = make_bitvector_framework(program, "reach", cfg)
+        fw = make_bitvector_framework(program, "reach")
         solution = worklist_solve(fw, cfg)
         sets = reaching_definitions(cfg)
         for node in cfg.nodes:
@@ -316,7 +314,7 @@ class TestRenamedSetAnalyses:
     def test_live_uses_match(self, seed):
         program = generate_program(GeneratorConfig(seed=seed, node_budget=18), seed)
         cfg = build_cfg(program)
-        fw = make_bitvector_framework(program, "live", cfg)
+        fw = make_bitvector_framework(program, "live")
         solution = worklist_solve(fw, cfg)
         sets = live_uses(cfg)
         for node in cfg.nodes:
@@ -351,7 +349,7 @@ class TestMaskFrameworksMatchTupleReference:
     def test_values_and_pass_counts_match(self, programs, kind):
         for program in programs:
             cfg = build_cfg(program)
-            fw = make_framework(program, kind, cfg)
+            fw = make_framework(program, kind)
             assert isinstance(fw.space, MaskSpace)
             got = round_robin_solve(fw, cfg)
             want = round_robin_solve(reference_framework(program, fw), cfg)

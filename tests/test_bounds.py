@@ -3,14 +3,7 @@ import json
 
 import pytest
 
-from dfalab import (
-    ANALYSIS_KINDS,
-    GeneratorConfig,
-    build_edg,
-    emit_report,
-    generate_corpus,
-    make_record,
-)
+from dfalab import ANALYSIS_KINDS, GeneratorConfig, emit_report, generate_corpus
 from dfalab import bounds
 from dfalab.bounds import CSV_HEADER, ProgramPipeline, edg_bound, simplistic_bound
 
@@ -38,20 +31,20 @@ def test_bounds_reject_negative_inputs():
 
 class TestMakeRecord:
     def test_fig3_cp(self, fig3):
-        r = make_record(fig3, "cp")
+        r = ProgramPipeline(fig3).record("cp")
         assert (r.d, r.delta, r.b1, r.b2) == (3, 6, 25, 10)
         assert abs(r.iterations - 9) <= 1
         assert not r.bound_violated
         assert not r.acyclic
 
     def test_fig3_faint(self, fig3):
-        r = make_record(fig3, "faint")
+        r = ProgramPipeline(fig3).record("faint")
         assert (r.d, r.delta, r.b1, r.b2) == (3, 6, 13, 10)
         assert abs(r.iterations - 7) <= 1
         assert not r.bound_violated
 
     def test_fig3_avail(self, fig3):
-        r = make_record(fig3, "avail")
+        r = ProgramPipeline(fig3).record("avail")
         assert r.delta == 0
         assert r.b2 == 4
         assert r.iterations <= 4
@@ -59,10 +52,10 @@ class TestMakeRecord:
 
     def test_unknown_kind(self, fig3):
         with pytest.raises(ValueError):
-            make_record(fig3, "nope")
+            ProgramPipeline(fig3).record("nope")
 
     def test_deviations_consistent(self, fig3):
-        r = make_record(fig3, "cp")
+        r = ProgramPipeline(fig3).record("cp")
         assert r.dev1 == r.b1 - r.iterations
         assert r.dev2 == r.b2 - r.iterations
 
@@ -76,7 +69,7 @@ class TestMakeRecord:
 
 class TestEmitReport:
     def test_fig3_cp_csv_row(self, fig3):
-        record = make_record(fig3, "cp")
+        record = ProgramPipeline(fig3).record("cp")
         body = emit_report([record], "csv").decode()
         lines = body.splitlines()
         assert lines[0] == CSV_HEADER
@@ -86,14 +79,14 @@ class TestEmitReport:
         assert emit_report([], "csv").decode() == CSV_HEADER + "\n"
 
     def test_rows_preserve_input_order(self, fig3):
-        cp = make_record(fig3, "cp")
-        faint = make_record(fig3, "faint")
+        cp = ProgramPipeline(fig3).record("cp")
+        faint = ProgramPipeline(fig3).record("faint")
         lines = emit_report([faint, cp], "csv").decode().splitlines()
         assert lines[1].split(",")[1] == "faint"
         assert lines[2].split(",")[1] == "cp"
 
     def test_json_field_names_match_csv(self, fig3):
-        record = make_record(fig3, "cp")
+        record = ProgramPipeline(fig3).record("cp")
         payload = json.loads(emit_report([record], "json"))
         assert isinstance(payload, list)
         assert list(payload[0]) == CSV_HEADER.split(",")
@@ -128,13 +121,6 @@ def test_pipeline_computes_delta_once(fig3, monkeypatch):
     assert len(calls) == 1
 
 
-def test_pipeline_edg_matches_standalone_build(fig3):
-    pipeline = ProgramPipeline(fig3)
-    for kind in ("cp", "faint"):
-        standalone = build_edg(fig3, pipeline.framework(kind), cfg=pipeline.cfg)
-        assert pipeline.edg(kind) == standalone
-
-
 def test_irreducible_corpus_meets_every_bound():
     """Visiting in DFS reverse postorder keeps I within the d-based bounds.
 
@@ -152,4 +138,4 @@ def test_irreducible_corpus_meets_every_bound():
             avail = pipeline.record("avail")
             assert (avail.d, avail.b2, avail.iterations) == (2, 3, 3)
     assert [(r.program, r.analysis) for r in records if r.bound_violated] == []
-    assert hashlib.sha256(emit_report(records)).hexdigest() == IRREDUCIBLE_REPORT_SHA256
+    assert hashlib.sha256(emit_report(records, "csv")).hexdigest() == IRREDUCIBLE_REPORT_SHA256

@@ -6,8 +6,6 @@ from dfalab import SearchBudgetExceeded, bounds, build_cfg, cfg_metrics, cli, fi
 from dfalab.cfg_metrics import (
     WeightTable,
     classify_back_edges,
-    depth,
-    max_backedge_acyclic_weight,
     traversal_order,
 )
 from dfalab.generator import GeneratorConfig, generate_program
@@ -37,16 +35,16 @@ def test_back_edges_subset_of_edges(fig3_cfg):
 
 
 def test_fig3_depth(fig3_cfg):
-    assert depth(fig3_cfg) == 3
+    assert WeightTable(fig3_cfg).depth == 3
 
 
 def test_swap_depth(fig3_swap):
-    assert depth(build_cfg(fig3_swap)) == 3
+    assert WeightTable(build_cfg(fig3_swap)).depth == 3
 
 
 def test_acyclic_depth_zero():
     cfg = build_cfg(chain_program([Skip()] * 5))
-    assert depth(cfg) == 0
+    assert WeightTable(cfg).depth == 0
 
 
 def test_depth_bounded_by_back_edge_count(fig3_cfg):
@@ -62,18 +60,18 @@ def test_depth_bounded_by_back_edge_count(fig3_cfg):
     (8, 7, 1),
 ])
 def test_fig3_pair_weights(fig3_cfg, frm, to, expected):
-    assert max_backedge_acyclic_weight(fig3_cfg, frm, to) == expected
+    assert WeightTable(fig3_cfg).weight(frm, to) == expected
 
 
 def test_no_path_returns_none():
     p = make_program([Skip(), Skip(), Skip()], [(1, 2), (1, 3)])
     cfg = build_cfg(p)
-    assert max_backedge_acyclic_weight(cfg, 2, 3) is None
+    assert WeightTable(cfg).weight(2, 3) is None
 
 
 def test_unknown_node_raises(fig3_cfg):
     with pytest.raises(KeyError):
-        max_backedge_acyclic_weight(fig3_cfg, 1, 99)
+        WeightTable(fig3_cfg).weight(1, 99)
 
 
 def test_traversal_orders(fig3_cfg):
@@ -95,15 +93,15 @@ def test_traversal_single_node(single_skip):
 
 
 def test_depth_equals_max_pairwise_weight(fig3_cfg):
-    pairs = [max_backedge_acyclic_weight(fig3_cfg, a, b)
-             for a in fig3_cfg.nodes for b in fig3_cfg.nodes]
-    assert depth(fig3_cfg) == max(w for w in pairs if w is not None)
+    table = WeightTable(fig3_cfg)
+    pairs = [table.weight(a, b) for a in fig3_cfg.nodes for b in fig3_cfg.nodes]
+    assert table.depth == max(w for w in pairs if w is not None)
 
 
 def test_node_cap_guards_large_graphs():
     with pytest.raises(SearchBudgetExceeded):
-        depth(build_cfg(chain_program([Skip()] * 65)))
-    assert depth(build_cfg(chain_program([Skip()] * 64))) == 0
+        WeightTable(build_cfg(chain_program([Skip()] * 65))).depth
+    assert WeightTable(build_cfg(chain_program([Skip()] * 64))).depth == 0
 
 
 @pytest.mark.parametrize("edges,back_edges,expected", [
@@ -122,7 +120,7 @@ def test_depth_counts_each_head_once(edges, back_edges, expected):
     # head add at most one to its weight.
     cfg = build_cfg(make_program([Skip()] * max(map(max, edges)), edges))
     assert classify_back_edges(cfg) == back_edges
-    assert depth(cfg) == enumerate_depth(cfg, back_edges) == expected
+    assert WeightTable(cfg).depth == enumerate_depth(cfg, back_edges) == expected
 
 
 class TestAgainstEnumeration:
@@ -134,10 +132,11 @@ class TestAgainstEnumeration:
         cfg = build_cfg(program)
         assert len(cfg.nodes) <= 12
         back = classify_back_edges(cfg)
-        assert depth(cfg) == enumerate_depth(cfg, back)
+        table = WeightTable(cfg)
+        assert table.depth == enumerate_depth(cfg, back)
         for a in cfg.nodes:
             for b in cfg.nodes:
-                got = max_backedge_acyclic_weight(cfg, a, b)
+                got = table.weight(a, b)
                 want = 0 if a == b else enumerate_pair_weight(cfg, back, a, b)
                 assert got == want, (program.name, a, b)
 
@@ -190,12 +189,12 @@ class TestAgainstEnumeration:
 
     def test_fig3(self, fig3_cfg):
         back = classify_back_edges(fig3_cfg)
-        assert depth(fig3_cfg) == enumerate_depth(fig3_cfg, back) == 3
+        table = WeightTable(fig3_cfg)
+        assert table.depth == enumerate_depth(fig3_cfg, back) == 3
         for a in fig3_cfg.nodes:
             for b in fig3_cfg.nodes:
                 if a != b:
-                    assert (max_backedge_acyclic_weight(fig3_cfg, a, b)
-                            == enumerate_pair_weight(fig3_cfg, back, a, b))
+                    assert table.weight(a, b) == enumerate_pair_weight(fig3_cfg, back, a, b)
 
 
 def test_targets_without_usable_back_edges_need_no_search(fig3_cfg, monkeypatch):
@@ -221,9 +220,9 @@ def test_fig3_report_searches_each_source_once_per_edg(monkeypatch, capsys):
         builds.append((fw.kind, []))
         return original_build(program, fw, **kwargs)
 
-    def search(cfg, frm, to, **kwargs):
+    def search(table, frm, targets):
         builds[-1][1].append(frm)
-        return original_search(cfg, frm, to, **kwargs)
+        return original_search(table, frm, targets)
 
     monkeypatch.setattr(bounds, "build_edg", build)
     monkeypatch.setattr(cfg_metrics, "max_backedge_acyclic_weight", search)
@@ -237,7 +236,7 @@ def test_fig3_report_searches_each_source_once_per_edg(monkeypatch, capsys):
 def test_depth_budget_error_names_the_depth_search(fig3_cfg, monkeypatch):
     monkeypatch.setattr(cfg_metrics, "DEFAULT_STEP_CAP", 3)
     with pytest.raises(SearchBudgetExceeded, match="^depth search exceeded 3 steps$"):
-        depth(fig3_cfg)
+        WeightTable(fig3_cfg).depth
 
 
 def test_weight_budget_error_names_the_source(fig3_cfg, monkeypatch):

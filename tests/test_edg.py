@@ -4,8 +4,6 @@ import pytest
 
 from dfalab import (
     SearchBudgetExceeded,
-    build_cfg,
-    build_edg,
     degree_of_dependence,
     delta_vector,
     make_constant_propagation,
@@ -18,11 +16,10 @@ from dfalab.analyses import (
     NONCONST,
     UNDEF,
     Instance,
-    make_bitvector_framework,
     make_faint_variables,
 )
 from dfalab.bounds import ProgramPipeline
-from dfalab.cfg_metrics import WeightTable, max_backedge_acyclic_weight
+from dfalab.cfg_metrics import WeightTable
 from dfalab.edg import EntityDependenceGraph
 from dfalab.engine import TraceRecord
 from dfalab.generator import GeneratorConfig, generate_program
@@ -58,18 +55,18 @@ def synthetic_edg(count, edges, entries):
     adj = [[] for _ in range(count)]
     for src, dst, weight in edges:
         adj[src].append((dst, weight))
-    return EntityDependenceGraph("synthetic", "forward",
-                                 [N(f"e{i}", i) for i in range(count)], adj, sorted(entries))
+    return EntityDependenceGraph("synthetic", [N(f"e{i}", i) for i in range(count)], adj,
+                                 sorted(entries))
 
 
 @pytest.fixture(scope="module")
-def cp_edg(fig3, fig3_cfg):
-    return build_edg(fig3, make_constant_propagation(fig3, fig3_cfg), cfg=fig3_cfg)
+def cp_edg(fig3):
+    return ProgramPipeline(fig3).edg("cp")
 
 
 @pytest.fixture(scope="module")
-def fv_edg(fig3, fig3_cfg):
-    return build_edg(fig3, make_faint_variables(fig3, fig3_cfg), cfg=fig3_cfg)
+def fv_edg(fig3):
+    return ProgramPipeline(fig3).edg("faint")
 
 
 class TestFig3Structure:
@@ -94,10 +91,9 @@ class TestFig3Structure:
         }
 
     @pytest.mark.parametrize("kind", ["avail", "reach", "live"])
-    def test_separable_kinds_have_no_edg_rule(self, fig3, fig3_cfg, kind):
-        fw = make_bitvector_framework(fig3, kind, fig3_cfg)
+    def test_separable_kinds_have_no_edg_rule(self, fig3, kind):
         with pytest.raises(ValueError, match="no EDG construction rule"):
-            build_edg(fig3, fw, cfg=fig3_cfg)
+            ProgramPipeline(fig3).edg(kind)
 
     @pytest.mark.parametrize("kind", ["avail", "reach", "live"])
     def test_pipeline_reads_separable_delta_off_the_framework(
@@ -129,20 +125,17 @@ class TestFig3Structure:
     def test_copies_only_program_has_no_entries(self):
         program = chain_program([CopyAssign("a", "b"), CopyAssign("b", "a")],
                                 variables=("a", "b"), name="copies")
-        cfg = build_cfg(program)
-        fw = make_constant_propagation(program, cfg)
-        edg = build_edg(program, fw, cfg=cfg)
+        edg = ProgramPipeline(program).edg("cp")
         assert edg.labels
         assert edg.entries == []
         assert degree_of_dependence(edg, 2) == 0
 
     def test_weights_match_cfg_metric(self, cp_edg, fv_edg, fig3_cfg):
+        table = WeightTable(fig3_cfg)
         for edge in cp_edg.edges:  # forward: from src stmt to dst stmt
-            assert edge.weight == max_backedge_acyclic_weight(
-                fig3_cfg, edge.src.stmt, edge.dst.stmt)
+            assert edge.weight == table.weight(edge.src.stmt, edge.dst.stmt)
         for edge in fv_edg.edges:  # backward: from dst stmt to src stmt
-            assert edge.weight == max_backedge_acyclic_weight(
-                fig3_cfg, edge.dst.stmt, edge.src.stmt)
+            assert edge.weight == table.weight(edge.dst.stmt, edge.src.stmt)
 
     def test_edge_weights_bounded_by_depth(self, cp_edg, fv_edg):
         assert all(e.weight <= 3 for e in cp_edg.edges)
@@ -165,18 +158,19 @@ class TestFig3Structure:
             def weight(self, frm, to):
                 return None
 
-        fw = make_constant_propagation(fig3, fig3_cfg)
+        pipeline = ProgramPipeline(fig3)
+        pipeline.weights = NoPaths(fig3_cfg)
         with pytest.raises(RuntimeError, match="without a CFG path from 6 to 5"):
-            build_edg(fig3, fw, cfg=fig3_cfg, weights=NoPaths(fig3_cfg))
+            pipeline.edg("cp")
 
     @pytest.mark.parametrize("seed", range(6))
     def test_weights_match_cfg_metric_on_generated(self, seed):
         program = generate_program(GeneratorConfig(seed=seed, node_budget=30), seed)
-        cfg = build_cfg(program)
-        table = WeightTable(cfg)
-        for make, forward in ((make_constant_propagation, True),
-                              (make_faint_variables, False)):
-            edg = build_edg(program, make(program, cfg), cfg=cfg, weights=table)
+        pipeline = ProgramPipeline(program)
+        cfg, table = pipeline.cfg, pipeline.weights
+        reference = WeightTable(cfg)
+        for kind, forward in (("cp", True), ("faint", False)):
+            edg = pipeline.edg(kind)
             for edge in edg.edges:
                 pair = ((edge.src.stmt, edge.dst.stmt) if forward
                         else (edge.dst.stmt, edge.src.stmt))
@@ -184,7 +178,7 @@ class TestFig3Structure:
                     # Carried around a loop: the best simple cycle.
                     want = enumerate_pair_weight(cfg, cfg.back_edges, *pair)
                 else:
-                    want = max_backedge_acyclic_weight(cfg, *pair)
+                    want = reference.weight(*pair)
                 assert edge.weight == want
                 assert edge.weight <= table.depth
 
@@ -238,15 +232,16 @@ class TestDegreeOfDependence:
             with pytest.raises(IndexError):
                 delta_vector(cp_edg, [start], 2)
 
-    def test_budget_guard(self):
+    def test_budget_guard(self, monkeypatch):
         # Dense strongly connected core 1..8 fed by the single entry node 0.
         core = range(1, 9)
         edges = [(0, 1, 1)] + [(a, b, 1) for a in core for b in core if a != b]
         edg = synthetic_edg(9, edges, [0])
+        monkeypatch.setattr(edg_module, "DEFAULT_DELTA_STEP_CAP", 50)
         with pytest.raises(SearchBudgetExceeded):
-            degree_of_dependence(edg, 2, max_steps=50)
+            degree_of_dependence(edg, 2)
 
-    def test_budget_is_pooled_over_entry_nodes(self):
+    def test_budget_is_pooled_over_entry_nodes(self, monkeypatch):
         # Two entry nodes, each feeding its own dense core, so the sweep
         # needs about the steps of both single-origin sweeps together.
         entries, edges = [], []
@@ -259,8 +254,8 @@ class TestDegreeOfDependence:
 
         alone = max(_steps_needed(edg, [origin], 2) for origin in entries)
         assert (alone, _steps_needed(edg, entries, 2)) == (122, 244)
-        assert (degree_of_dependence(edg, 2, max_steps=alone)
-                == enumerate_degree(edg, 2))
+        monkeypatch.setattr(edg_module, "DEFAULT_DELTA_STEP_CAP", alone)
+        assert degree_of_dependence(edg, 2) == enumerate_degree(edg, 2)
 
     def test_fig3_step_counts(self, cp_edg, fv_edg):
         # Pinned, so that a step budget keeps meaning the same work.
@@ -298,12 +293,14 @@ class TestDegreeOfDependence:
 
 
 def _steps_needed(edg, origins, h_hat):
-    """Smallest pooled budget (max_steps times origins) that fits."""
+    """Smallest pooled budget (the per-origin cap times origins) that fits."""
     lo, hi = 1, 1 << 20
     while lo < hi:
         mid = (lo + hi) // 2
         try:
-            delta_vector(edg, origins, h_hat, max_steps=mid)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(edg_module, "DEFAULT_DELTA_STEP_CAP", mid)
+                delta_vector(edg, origins, h_hat)
             hi = mid
         except SearchBudgetExceeded:
             lo = mid + 1
@@ -356,11 +353,9 @@ class TestAgainstEnumeration:
     def test_generated_program_edgs(self, seed):
         program = generate_program(GeneratorConfig(seed=seed, node_budget=12,
                                                    variable_count=3), seed)
-        cfg = build_cfg(program)
-        for make, h_hat in ((make_constant_propagation, 2),
-                            (make_faint_variables, 1)):
-            fw = make(program, cfg)
-            edg = build_edg(program, fw, cfg=cfg)
+        pipeline = ProgramPipeline(program)
+        for kind, h_hat in (("cp", 2), ("faint", 1)):
+            edg = pipeline.edg(kind)
             if len(edg.labels) > 10:
                 continue
             assert degree_of_dependence(edg, h_hat) == enumerate_degree(edg, h_hat)
@@ -374,7 +369,7 @@ class TestConditionTen:
     def test_fig3_traces_are_monotonic(self, fig3, fig3_cfg, cp_edg, fv_edg):
         for make, edg in ((make_constant_propagation, cp_edg),
                           (make_faint_variables, fv_edg)):
-            fw = make(fig3, fig3_cfg)
+            fw = make(fig3)
             result = round_robin_solve(fw, fig3_cfg)
             assert check_monotonic_entity_dependence(edg, result.trace, fw.lattice)
 

@@ -109,13 +109,12 @@ class TestRoundRobinCalibration:
         for program in (fig3, fig3_swap):
             cfg = build_cfg(program)
             for make in (make_constant_propagation, make_faint_variables):
-                result = round_robin_solve(make(program, cfg), cfg)
+                result = round_robin_solve(make(program), cfg)
                 assert result.passes_executed == result.iterations + 1
 
     @pytest.mark.parametrize("kind,expected", [("cp", 9), ("faint", 7)])
     def test_fig3_counts(self, fig3, fig3_cfg, kind, expected):
-        fw = (make_constant_propagation if kind == "cp" else make_faint_variables)(
-            fig3, fig3_cfg)
+        fw = (make_constant_propagation if kind == "cp" else make_faint_variables)(fig3)
         result = round_robin_solve(fw, fig3_cfg)
         assert result.iterations == expected
         assert result.passes_executed == expected + 1
@@ -123,15 +122,14 @@ class TestRoundRobinCalibration:
     @pytest.mark.parametrize("kind,expected", [("cp", 5), ("faint", 5)])
     def test_swap_counts(self, fig3_swap, kind, expected):
         cfg = build_cfg(fig3_swap)
-        fw = (make_constant_propagation if kind == "cp" else make_faint_variables)(
-            fig3_swap, cfg)
+        fw = (make_constant_propagation if kind == "cp" else make_faint_variables)(fig3_swap)
         assert round_robin_solve(fw, cfg).iterations == expected
 
 
 class TestFixedPoints:
     def test_round_robin_and_worklist_agree_on_fig3(self, fig3, fig3_cfg):
         for make in (make_constant_propagation, make_faint_variables):
-            fw = make(fig3, fig3_cfg)
+            fw = make(fig3)
             rr = round_robin_solve(fw, fig3_cfg)
             wl = worklist_solve(fw, fig3_cfg)
             assert rr.in_values == wl.in_values
@@ -140,7 +138,7 @@ class TestFixedPoints:
     def test_acyclic_single_const(self):
         program = chain_program([ConstAssign("a", 7), Skip()], name="mini")
         cfg = build_cfg(program)
-        fw = make_constant_propagation(program, cfg)
+        fw = make_constant_propagation(program)
         rr = round_robin_solve(fw, cfg)
         wl = worklist_solve(fw, cfg)
         assert rr.iterations == 1
@@ -150,13 +148,13 @@ class TestFixedPoints:
     def test_all_skip_program_counts_one_pass(self):
         program = chain_program([Skip(), Skip()], name="noop")
         cfg = build_cfg(program)
-        result = round_robin_solve(make_constant_propagation(program, cfg), cfg)
+        result = round_robin_solve(make_constant_propagation(program), cfg)
         assert result.iterations == 1
         assert result.passes_executed == 1
 
     def test_final_pass_is_stable(self, fig3, fig3_cfg):
         # Re-running one more full sweep from the solution changes nothing.
-        fw = make_constant_propagation(fig3, fig3_cfg)
+        fw = make_constant_propagation(fig3)
         first = round_robin_solve(fw, fig3_cfg)
         again = round_robin_solve(fw, fig3_cfg)
         assert first.in_values == again.in_values
@@ -166,7 +164,7 @@ class TestFixedPoints:
         program = make_program([Print("a"), Skip()], [(1, 2)],
                                variables=("a",), name="pb")
         cfg = build_cfg(program)
-        fw = make_faint_variables(program, cfg)
+        fw = make_faint_variables(program)
         result = round_robin_solve(fw, cfg)
         a = fw.space.index["a"]
         assert fw.space.components(result.out_values[2])[a] is FAINT
@@ -175,7 +173,7 @@ class TestFixedPoints:
 
 class TestVisitSkip:
     def test_unchanged_inputs_are_not_transferred_again(self, fig3, fig3_cfg):
-        fw = make_constant_propagation(fig3, fig3_cfg)
+        fw = make_constant_propagation(fig3)
         calls = []
 
         def spy(node, transfer):
@@ -202,7 +200,7 @@ class TestVisitSkip:
         assert len(programs) == 22
         for program in programs:
             cfg = build_cfg(program)
-            fw = make_framework(program, kind, cfg)
+            fw = make_framework(program, kind)
             got = round_robin_solve(fw, cfg)
             want = plain_round_robin(fw, cfg)
             assert (got.in_values, got.out_values, got.iterations, got.passes_executed,
@@ -212,7 +210,7 @@ class TestVisitSkip:
 class TestTraces:
     def test_values_descend(self, fig3, fig3_cfg):
         for make in (make_constant_propagation, make_faint_variables):
-            fw = make(fig3, fig3_cfg)
+            fw = make(fig3)
             lattice = fw.lattice
             result = round_robin_solve(fw, fig3_cfg)
             assert result.trace
@@ -221,7 +219,7 @@ class TestTraces:
                 assert lattice.meet(record.new, record.old) == record.new
 
     def test_operands_recorded(self, fig3, fig3_cfg):
-        fw = make_constant_propagation(fig3, fig3_cfg)
+        fw = make_constant_propagation(fig3)
         result = round_robin_solve(fw, fig3_cfg)
         for record in result.trace:
             if record.node == 7:  # z = w - 1 reads w
@@ -231,7 +229,7 @@ class TestTraces:
 class TestMonotonicity:
     def test_shipped_analyses_pass(self, fig3, fig3_cfg):
         for make in (make_constant_propagation, make_faint_variables):
-            assert check_monotonicity(make(fig3, fig3_cfg), 300, seed=7)
+            assert check_monotonicity(make(fig3), 300, seed=7)
 
     def _broken_framework(self):
         space = EntitySpace(("x",), CP_LATTICE)
@@ -249,9 +247,9 @@ class TestMonotonicity:
         fw = self._broken_framework()
         assert not check_monotonicity(fw, 200, seed=3)
 
-    def test_sample_count_must_be_positive(self, fig3, fig3_cfg):
+    def test_sample_count_must_be_positive(self, fig3):
         with pytest.raises(ValueError):
-            check_monotonicity(make_constant_propagation(fig3, fig3_cfg), 0, 1)
+            check_monotonicity(make_constant_propagation(fig3), 0, 1)
 
 
 def test_divergence_guard_fires():

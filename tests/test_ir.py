@@ -85,6 +85,10 @@ class TestParse:
         with pytest.raises(ParseError, match="line 5, column 1: second 'entry' line"):
             parse_program("program t\nvars a\nnode 1  skip\nentry 1\nentry 1\n")
 
+    def test_second_program_line(self):
+        with pytest.raises(ParseError, match="line 4, column 1: second 'program' line"):
+            parse_program("program a\nvars x\nnode 1 x = 1\nprogram b\n")
+
     def test_literal_out_of_range(self):
         with pytest.raises(ParseError, match="out of 64-bit range"):
             parse_program(f"program t\nvars a\nnode 1  a = {2**63}\n")

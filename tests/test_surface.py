@@ -6,6 +6,12 @@ counts as used when code outside its own body refers to its name, as a
 name or as an attribute.  Re-exports in ``__init__.py`` do not count:
 a name that only readers outside ``src`` reach is kept by listing it in
 ``KEPT`` with the reason.
+
+The same scan holds every defaulted parameter of a public function or
+method against the calls in ``src``: a default that no call sets is a
+setting nothing changes, and one that every call sets is a second way
+in that only readers outside ``src`` take.  ``DEFAULTS_KEPT`` lists
+the exceptions with their reasons.
 """
 
 import ast
@@ -18,7 +24,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "dfalab"
 KEPT = {
     "worklist_solve": "the benchmark's fixed-point check calls it, and the "
                       "tests use it as the reference solver",
-    "make_record": "the README's library use block calls it",
     "validate_program": "exported diagnostics API: the program's invariant "
                         "violations without raising",
 }
@@ -90,3 +95,65 @@ def test_every_import_is_used():
                     if bound not in used:
                         unused.append(f"{module}: {bound}")
     assert not unused, f"imports never used: {unused}"
+
+
+# Defaulted parameters that src calls never set, or always set, and why
+# each default stays.
+DEFAULTS_KEPT = {
+    "main(argv)": "the command-line entry point, where None means sys.argv",
+    "round_robin_solve(record_trace)": "the benchmark's fixed-point check and the "
+                                       "tests solve traced by default",
+    "make_framework(cfg)": "the benchmark's checks pass it",
+}
+
+
+def _calls() -> dict[str, list[tuple[int, set[str], bool]]]:
+    """Per callee name, each src call's positional count, keywords and any unpacking."""
+    calls: dict[str, list[tuple[int, set[str], bool]]] = {}
+    for tree in _modules().values():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            unpacked = any(isinstance(a, ast.Starred) for a in node.args) or any(
+                k.arg is None for k in node.keywords)
+            calls.setdefault(name, []).append(
+                (len(node.args), {k.arg for k in node.keywords}, unpacked))
+    return calls
+
+
+@functools.cache
+def _idle_defaults() -> dict[str, str]:
+    """Each public defaulted parameter that no src call sets, or that every one does."""
+    calls = _calls()
+    idle: dict[str, str] = {}
+    for tree in _modules().values():
+        for qualified, node in _definitions(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            args = node.args
+            positional = [a.arg for a in args.posonlyargs + args.args]
+            if "." in qualified:
+                positional = positional[1:]  # self, bound by the call
+            defaulted = positional[len(positional) - len(args.defaults):] if args.defaults else []
+            defaulted += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d]
+            for param in defaulted:
+                passed = [param in keywords or unpacked or (
+                              param in positional and positional.index(param) < count)
+                          for count, keywords, unpacked in calls.get(node.name, [])]
+                key = f"{qualified}({param})"
+                if not any(passed):
+                    idle[key] = "no src call sets it"
+                elif all(passed):
+                    idle[key] = "every src call sets it"
+    return idle
+
+
+def test_every_default_is_one_that_some_src_caller_relies_on():
+    idle = {key: why for key, why in _idle_defaults().items() if key not in DEFAULTS_KEPT}
+    assert not idle, f"defaults that src leaves idle: {idle}"
+
+
+def test_kept_defaults_are_still_idle():
+    assert set(_idle_defaults()) >= set(DEFAULTS_KEPT)
