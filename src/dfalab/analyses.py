@@ -41,8 +41,6 @@ from .ir import (
     Program,
     ReadAssign,
     Statement,
-    stmt_target,
-    stmt_uses,
     wrap64,
 )
 
@@ -170,10 +168,11 @@ def make_constant_propagation(program: Program) -> FrameworkInstance:
     dfpuse: dict[int, frozenset] = {}
     sources: dict[int, frozenset] = {}
     empty: frozenset = frozenset()
+    facts = program.facts
     for node, stmt in program.nodes.items():
         transfers[node] = cp_transfer(stmt, space.index)
         if isinstance(stmt, ASSIGNMENTS):
-            uses = stmt_uses(stmt)
+            _, uses, _, _ = facts[node]
             dfpuse[node] = uses
             # Constants, reads, and literal-only binops yield a non-top
             # value no matter what flows in.
@@ -221,10 +220,12 @@ def make_faint_variables(program: Program) -> FrameworkInstance:
     dfpuse: dict[int, frozenset] = {}
     sources: dict[int, frozenset] = {}
     empty: frozenset = frozenset()
+    facts = program.facts
     for node, stmt in program.nodes.items():
         if isinstance(stmt, ASSIGNMENTS):
             u = 0
-            for var in stmt_uses(stmt):
+            _, uses, _, _ = facts[node]
+            for var in uses:
                 u |= bit[var]
             t = bit[stmt.target]
             transfers[node] = lambda v, t=t, c=~t, u=u: v & c | u if v & t else v & c
@@ -260,49 +261,27 @@ class Instance(NamedTuple):
         return f"{self.var}_{self.stmt}"
 
 
+# The entity tuples below list statements in ascending node id, whatever
+# the order of ``program.nodes``.
+
 def program_definitions(program: Program) -> tuple[Instance, ...]:
-    return tuple(Instance(stmt.target, node)
-                 for node, stmt in sorted(program.nodes.items())
-                 if isinstance(stmt, ASSIGNMENTS))
+    return tuple(Instance(target, node)
+                 for node, (target, _, _, _) in sorted(program.facts.items())
+                 if target is not None)
 
 
 def program_uses(program: Program) -> tuple[Instance, ...]:
-    uses: list[Instance] = []
-    for node, stmt in sorted(program.nodes.items()):
-        names = stmt_uses(stmt)
-        # A statement reads at most two names; only a pair needs sorting.
-        for var in sorted(names) if len(names) > 1 else names:
-            uses.append(Instance(var, node))
-    return tuple(uses)
-
-
-def expression_key(stmt: Statement) -> str | None:
-    """Canonical name of the expression a statement computes.
-
-    Only binary right-hand sides with at least one variable operand
-    count; literal-only expressions are never killed so they are not
-    tracked.  Operand order matters: y+2 and 2+y are distinct.
-    """
-    if isinstance(stmt, BinAssign) and stmt_uses(stmt):
-        left = stmt.left if isinstance(stmt.left, str) else str(stmt.left)
-        right = stmt.right if isinstance(stmt.right, str) else str(stmt.right)
-        return f"{left}{stmt.op}{right}"
-    return None
-
-
-def expression_operands(stmt: Statement) -> frozenset[str]:
-    if isinstance(stmt, BinAssign):
-        return stmt_uses(stmt)
-    return frozenset()
+    return tuple(Instance(var, node)
+                 for node, (_, _, names, _) in sorted(program.facts.items())
+                 for var in names)
 
 
 def program_expressions(program: Program) -> tuple[tuple[str, frozenset[str]], ...]:
     """Distinct tracked expressions with their operand variables."""
     seen: dict[str, frozenset[str]] = {}
-    for _, stmt in sorted(program.nodes.items()):
-        key = expression_key(stmt)
+    for _, (_, uses, _, key) in sorted(program.facts.items()):
         if key is not None and key not in seen:
-            seen[key] = expression_operands(stmt)
+            seen[key] = uses
     return tuple(seen.items())
 
 
@@ -352,15 +331,15 @@ def make_bitvector_framework(program: Program, kind: str) -> FrameworkInstance:
             for var in operands:
                 var_mask[var] = var_mask.get(var, 0) | 1 << i
     else:
-        for i, e in enumerate(entities):
-            var_mask[e.var] = var_mask.get(e.var, 0) | 1 << i
-            own_mask[e.stmt] = own_mask.get(e.stmt, 0) | 1 << i
+        for i, (var, stmt) in enumerate(entities):
+            var_mask[var] = var_mask.get(var, 0) | 1 << i
+            own_mask[stmt] = own_mask.get(stmt, 0) | 1 << i
 
     transfers: dict[int, Callable[[Value], Value]] = {}
-    for node, stmt in program.nodes.items():
-        killed = var_mask.get(stmt_target(stmt), 0)
+    for node, (target, _, _, key) in program.facts.items():
+        killed = var_mask.get(target, 0)
         if kind == AVAIL_KIND:
-            keep = ~(killed | own_mask.get(expression_key(stmt), 0))
+            keep = ~(killed | own_mask.get(key, 0))
             gen = killed
         else:
             keep, gen = ~killed, own_mask.get(node, 0)

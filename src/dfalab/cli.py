@@ -16,6 +16,7 @@ bad input so CI can tell them apart).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import statistics
 import sys
@@ -190,14 +191,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p_report.add_argument("files", nargs="+")
     add_analysis_flags(p_report)
 
+    # The generator flags default to GeneratorConfig's own defaults.
+    defaults = {f.name: f.default for f in dataclasses.fields(GeneratorConfig)}
+    variables = defaults["variable_count"]
     p_gen = sub.add_parser("generate", help="generate random programs")
-    p_gen.add_argument("--seed", type=int, default=42)
+    p_gen.add_argument("--seed", type=int, default=defaults["seed"])
     p_gen.add_argument("--count", type=int, default=100)
-    p_gen.add_argument("--nodes", type=int, default=60, help="node budget per program")
-    p_gen.add_argument("--vars", default="4-8",
+    p_gen.add_argument("--nodes", type=int, default=defaults["node_budget"],
+                       help="node budget per program")
+    p_gen.add_argument("--vars", default="-".join(map(str, variables))
+                       if isinstance(variables, tuple) else str(variables),
                        help="variable count, fixed ('6') or range ('4-8')")
-    p_gen.add_argument("--loops", type=int, default=2, help="maximum loop nesting")
-    p_gen.add_argument("--irreducible", type=float, default=0.0,
+    p_gen.add_argument("--loops", type=int, default=defaults["loop_depth"],
+                       help="maximum loop nesting")
+    p_gen.add_argument("--irreducible", type=float,
+                       default=defaults["irreducible_edge_probability"],
                        help="probability of extra arbitrary edges per node")
     p_gen.add_argument("--out", required=True, help="output directory")
 

@@ -225,12 +225,14 @@ def round_robin_solve(fw: FrameworkInstance, cfg: ControlFlowGraph, *,
     """
     view = _direction_view(fw, cfg)
     space = fw.space
+    meet = space.meet
     top = space.top
-    before: dict[int, Value] = {n: top for n in cfg.nodes}
-    after: dict[int, Value] = {n: top for n in cfg.nodes}
+    before: dict[int, Value] = dict.fromkeys(cfg.nodes, top)
+    after: dict[int, Value] = dict.fromkeys(cfg.nodes, top)
     trace: list[TraceRecord] = []
     budget = _pass_budget(fw, cfg)
-    visits = [(node, view.inputs[node], fw.transfers[node]) for node in view.order]
+    visits = [(node, len(view.inputs[node]), view.inputs[node], fw.transfers[node])
+              for node in view.order]
 
     passes = 0
     while True:
@@ -244,8 +246,14 @@ def round_robin_solve(fw: FrameworkInstance, cfg: ControlFlowGraph, *,
         # merged input is the one it last saw would return the value it
         # returned then (transfers are pure), so its visit is skipped.
         skip = passes > 1
-        for node, inputs, transfer in visits:
-            merged = after[inputs[0]] if len(inputs) == 1 else _merge(space, inputs, after)
+        for node, arity, inputs, transfer in visits:
+            # One input is read as is and two take one meet; _merge takes the rest.
+            if arity == 1:
+                merged = after[inputs[0]]
+            elif arity == 2:
+                merged = meet(after[inputs[0]], after[inputs[1]])
+            else:
+                merged = _merge(space, inputs, after)
             # A pass counts as changing when any program-point value
             # moves, merged inputs included, not only transfer outputs.
             if merged != before[node]:

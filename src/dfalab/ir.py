@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 INT64_MIN = -(2**63)
@@ -116,6 +117,24 @@ def stmt_uses(stmt: Statement) -> frozenset[str]:
     return frozenset()
 
 
+def expression_key(stmt: Statement) -> str | None:
+    """Canonical name of the expression a statement computes.
+
+    Only binary right-hand sides with at least one variable operand
+    count; literal-only expressions are never killed so they are not
+    tracked.  Operand order matters: y+2 and 2+y are distinct.
+    """
+    if isinstance(stmt, BinAssign) and (isinstance(stmt.left, str)
+                                        or isinstance(stmt.right, str)):
+        return f"{stmt.left}{stmt.op}{stmt.right}"
+    return None
+
+
+# What validation and the analyses read of one statement: its
+# (stmt_target, stmt_uses, the uses in ascending order, expression_key).
+StmtFacts = tuple[str | None, frozenset[str], tuple[str, ...], str | None]
+
+
 def _render_operand(op: Union[str, int]) -> str:
     return op if isinstance(op, str) else str(op)
 
@@ -148,6 +167,8 @@ class Program:
     Node ids are unique positive integers; edges reference declared
     nodes only.  `exits` may be empty: a program whose every node has a
     successor simply has no boundary nodes for backward analyses.
+    `facts` derives what validation and the analyses read of each
+    statement once, on first use.
     """
 
     name: str
@@ -156,6 +177,18 @@ class Program:
     edges: tuple[tuple[int, int], ...]
     entry: int
     exits: frozenset[int]
+
+    @cached_property
+    def facts(self) -> dict[int, StmtFacts]:
+        """Each node's StmtFacts, in ``nodes`` order, derived once per program."""
+        facts: dict[int, StmtFacts] = {}
+        for node, stmt in self.nodes.items():
+            uses = stmt_uses(stmt)
+            # A statement reads at most two names; only a pair needs sorting.
+            facts[node] = (stmt_target(stmt), uses,
+                           tuple(sorted(uses) if len(uses) > 1 else uses),
+                           expression_key(stmt))
+        return facts
 
 
 @dataclass(frozen=True)
@@ -416,14 +449,12 @@ def _walk(program: Program) -> tuple[list[Diagnostic], dict, dict, tuple[int, ..
         seen_vars.add(var)
 
     ids_valid = True
-    for node_id, stmt in nodes.items():
+    for node_id, (target, uses, _, _) in program.facts.items():
         if not isinstance(node_id, int) or node_id <= 0:
             ids_valid = False
             diags.append(Diagnostic("invalid-node-id",
                                     f"node id {node_id!r} is not a positive integer",
                                     node=node_id))
-        uses = stmt_uses(stmt)
-        target = stmt_target(stmt)
         if not (uses <= declared and (target is None or target in declared)):
             mentioned = set(uses)
             if target is not None:
@@ -432,6 +463,7 @@ def _walk(program: Program) -> tuple[list[Diagnostic], dict, dict, tuple[int, ..
                 diags.append(Diagnostic("undeclared-variable",
                                         f"node {node_id} mentions undeclared variable {var!r}",
                                         node=node_id))
+        stmt = nodes[node_id]
         if isinstance(stmt, ConstAssign) and not INT64_MIN <= stmt.value <= INT64_MAX:
             diags.append(Diagnostic("literal-out-of-range",
                                     f"node {node_id} literal {stmt.value} exceeds 64-bit range",
@@ -461,9 +493,11 @@ def _walk(program: Program) -> tuple[list[Diagnostic], dict, dict, tuple[int, ..
             diags.append(Diagnostic("undefined-exit",
                                     f"exit {ex} is not a declared node", node=ex))
 
-    arrange = (lambda ids: tuple(sorted(ids))) if ids_valid else tuple
-    successors = {n: arrange(s) for n, s in succ.items()}
-    predecessors = {n: arrange(p) for n, p in pred.items()}
+    if ids_valid:
+        for ids in (*succ.values(), *pred.values()):
+            ids.sort()
+    successors = {n: tuple(s) for n, s in succ.items()}
+    predecessors = {n: tuple(p) for n, p in pred.items()}
     back: set[tuple[int, int]] = set()
     postorder: list[int] = []
     visited = {entry}
@@ -486,7 +520,8 @@ def _walk(program: Program) -> tuple[list[Diagnostic], dict, dict, tuple[int, ..
             on_stack.discard(node)
             postorder.append(node)
     if entry in nodes:
-        for node_id in arrange(n for n in nodes if n not in visited):
+        missed = [n for n in nodes if n not in visited]
+        for node_id in sorted(missed) if ids_valid else missed:
             diags.append(Diagnostic("unreachable-node",
                                     f"node {node_id} is not reachable from entry",
                                     node=node_id))

@@ -31,7 +31,6 @@ from dfalab.analyses import (
     NOT_FAINT,
     UNDEF,
     Instance,
-    expression_key,
     program_expressions,
 )
 from dfalab.cfg_metrics import FORWARD, traversal_order
@@ -44,6 +43,7 @@ from dfalab.ir import (
     CopyAssign,
     Print,
     ReadAssign,
+    expression_key,
     stmt_target,
     stmt_uses,
     wrap64,

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -33,7 +34,9 @@ from dfalab.ir import (
     Print,
     ReadAssign,
     Skip,
+    expression_key,
     stmt_target,
+    stmt_uses,
 )
 
 from _oracles import (
@@ -277,6 +280,26 @@ class TestBitVector:
     def test_unknown_kind(self, fig3):
         with pytest.raises(ValueError):
             make_bitvector_framework(fig3, "mystery")
+
+    @pytest.mark.parametrize("kind", ["avail", "reach", "live"])
+    def test_entities_follow_node_ids_not_dict_order(self, fig3, fig3_cfg, kind):
+        shuffled = dataclasses.replace(fig3, nodes=dict(reversed(fig3.nodes.items())))
+        assert list(shuffled.nodes) != sorted(shuffled.nodes)
+        statements = sorted(fig3.nodes.items())
+        want = {
+            "avail": tuple(dict.fromkeys(expression_key(stmt) for _, stmt in statements
+                                         if expression_key(stmt) is not None)),
+            "reach": tuple(Instance(stmt_target(stmt), node) for node, stmt in statements
+                           if stmt_target(stmt) is not None),
+            "live": tuple(Instance(var, node) for node, stmt in statements
+                          for var in sorted(stmt_uses(stmt))),
+        }[kind]
+        fw = make_bitvector_framework(shuffled, kind)
+        assert fw.entities == make_bitvector_framework(fig3, kind).entities == want
+        got = round_robin_solve(fw, build_cfg(shuffled))
+        ordered = round_robin_solve(make_bitvector_framework(fig3, kind), fig3_cfg)
+        assert (got.in_values, got.out_values, got.passes_executed, got.trace) == (
+            ordered.in_values, ordered.out_values, ordered.passes_executed, ordered.trace)
 
     @pytest.mark.parametrize("kind", ["avail", "reach", "live"])
     def test_builds_share_one_lattice(self, fig3, fig3_swap, kind):

@@ -1,10 +1,12 @@
 import hashlib
 import json
+import sys
+from collections import Counter
 
 import pytest
 
-from dfalab import ANALYSIS_KINDS, GeneratorConfig, emit_report, generate_corpus
-from dfalab import bounds
+from dfalab import ANALYSIS_KINDS, GeneratorConfig, emit_report, fixtures, generate_corpus
+from dfalab import bounds, ir
 from dfalab.bounds import CSV_HEADER, ProgramPipeline, edg_bound, simplistic_bound
 
 # sha256 of the CSV report over the seed-7, 300-program irreducible
@@ -27,6 +29,30 @@ def test_bounds_reject_negative_inputs():
         simplistic_bound(-1, 3)
     with pytest.raises(ValueError):
         edg_bound(1, -2)
+
+
+def test_pipeline_derives_each_statements_facts_once(monkeypatch):
+    """Validation and all five builders share one derivation per statement."""
+    program = fixtures.fig3()  # a fresh parse, with no facts derived yet
+    calls: Counter = Counter()
+    for name in ("stmt_target", "stmt_uses", "expression_key"):
+        original = getattr(ir, name)
+
+        def spy(stmt, name=name, original=original):
+            calls[name, id(stmt)] += 1
+            return original(stmt)
+        # Wherever a dfalab module holds the rule, it reaches the spy.
+        for module in [m for key, m in sys.modules.items() if key.startswith("dfalab")]:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, spy)
+
+    pipeline = ProgramPipeline(program)
+    for kind in ANALYSIS_KINDS:
+        pipeline.record(kind)
+    statements = [id(stmt) for stmt in program.nodes.values()]
+    for name in ("stmt_target", "stmt_uses", "expression_key"):
+        assert [calls[name, stmt] for stmt in statements] == [1] * len(statements), name
+    assert sum(calls.values()) == 3 * len(statements)
 
 
 class TestMakeRecord:

@@ -3,7 +3,18 @@ from collections import Counter
 
 import pytest
 
-from dfalab import SearchBudgetExceeded, bounds, cfg_metrics, cli, engine, fixtures, ir
+from dfalab import (
+    GeneratorConfig,
+    SearchBudgetExceeded,
+    bounds,
+    cfg_metrics,
+    cli,
+    engine,
+    fixtures,
+    generate_corpus,
+    ir,
+    serialize_program,
+)
 from dfalab.bounds import CSV_HEADER
 from dfalab.cli import EXIT_BOUND_VIOLATION, EXIT_OK, EXIT_USAGE, main
 
@@ -184,6 +195,13 @@ class TestGenerate:
         assert len(names) == 4
         for name in names:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_defaults_are_the_generator_configs(self, tmp_path):
+        out = tmp_path / "corpus"
+        assert main(["generate", "--count", "3", "--out", str(out)]) == EXIT_OK
+        want = {f"{program.name}.prog": serialize_program(program).encode("utf-8")
+                for program in generate_corpus(GeneratorConfig(), 3)}
+        assert {path.name: path.read_bytes() for path in out.glob("*.prog")} == want
 
     def test_generated_files_reparse(self, tmp_path, capsys):
         out = tmp_path / "corpus"

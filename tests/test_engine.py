@@ -8,6 +8,8 @@ from dfalab import (
     ANALYSIS_KINDS,
     DivergenceError,
     build_cfg,
+    engine,
+    generate_corpus,
     make_constant_propagation,
     make_framework,
     round_robin_solve,
@@ -22,6 +24,7 @@ from dfalab.analyses import (
     UNDEF,
     make_faint_variables,
 )
+from dfalab.cfg_metrics import FORWARD
 from dfalab.engine import (
     EntitySpace,
     FrameworkInstance,
@@ -205,6 +208,40 @@ class TestVisitSkip:
             want = plain_round_robin(fw, cfg)
             assert (got.in_values, got.out_values, got.iterations, got.passes_executed,
                     got.trace) == want, program.name
+
+    @pytest.mark.parametrize("kind", ANALYSIS_KINDS)
+    def test_three_and_four_inputs_take_the_general_merge(self, monkeypatch, kind):
+        """Nodes with one or two inputs skip ``_merge``; wider ones still use it."""
+        arities = []
+        merge = engine._merge
+
+        def spy(space, inputs, after):
+            arities.append(len(inputs))
+            return merge(space, inputs, after)
+        monkeypatch.setattr(engine, "_merge", spy)
+        config = GeneratorConfig(seed=7, node_budget=40, irreducible_edge_probability=0.05)
+        wide_nodes = 0
+        for program in generate_corpus(config, 300):
+            cfg = build_cfg(program)
+            fw = make_framework(program, kind)
+            inputs = cfg.predecessors if fw.direction == FORWARD else cfg.successors
+            wide = [node for node in cfg.nodes if len(inputs[node]) >= 3]
+            if not wide:
+                continue
+            wide_nodes += len(wide)
+            arities.clear()
+            got = round_robin_solve(fw, cfg)
+            # Each pass merges every wide node, and every node without inputs.
+            wide_calls = [a for a in arities if a]
+            assert set(wide_calls) <= {3, 4}
+            assert len(wide_calls) == got.passes_executed * len(wide), program.name
+            want = plain_round_robin(fw, cfg)
+            assert (got.in_values, got.out_values, got.iterations, got.passes_executed,
+                    got.trace) == want, program.name
+            oracle = worklist_solve(fw, cfg)
+            assert (got.in_values, got.out_values) == (
+                oracle.in_values, oracle.out_values), program.name
+        assert wide_nodes == (115 if fw.direction == FORWARD else 93)
 
 
 class TestTraces:
