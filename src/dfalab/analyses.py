@@ -207,7 +207,7 @@ FV_LATTICE = _two_point_lattice(FAINT, NOT_FAINT)
 
 
 def make_faint_variables(program: Program) -> FrameworkInstance:
-    """Backward instance: all variables start faint at exits.
+    """Backward instance: all variables start faint, at every node.
 
     A value's set bits are the not-faint variables.  An assignment
     clears its target's bit t, then sets its right-hand side's bits u

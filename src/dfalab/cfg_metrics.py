@@ -27,10 +27,10 @@ CFG), records the weight at every target it passes without stopping
 there, and closes a target once it attains its bound.  The bound
 counts the back edges a path to the target could take, each one
 whose tail the source reaches without passing its head and whose head
-reaches the target, capped at d; a target whose bound is 0 needs no
-search.  A node cap of 64 rejects
-inputs where exactness is no longer desk-scale, and a budget of ten
-million steps bounds the depth search and each source's weight search.
+reaches the target; a target whose bound is 0 needs no search.  A node
+cap of 64 rejects inputs where exactness is no longer desk-scale, and a
+budget of ten million steps bounds the depth search and each source's
+weight search.
 """
 
 from __future__ import annotations
@@ -126,16 +126,15 @@ def max_backedge_acyclic_weight(table: WeightTable, frm: int,
     `targets` are node indices of `table`; the result maps each to its
     weight, from one search: 0 for `frm` itself (the empty path) and
     None for a target unreachable from `frm`.  A target's bound is the
-    number of back edges a path from `frm` to it could take, capped at
-    the depth; a target whose bound is 0 gets 0 without a search.
+    number of back edges a path from `frm` to it could take; a target
+    whose bound is 0 gets 0 without a search.
     """
     source = table.index[frm]
     _check_node_cap(table.cfg)
     reach = table.closures[0][source]
-    # (tail, nodes reached from its head) of each back edge that a path
+    # The nodes reached from the head of each back edge that a path
     # from frm can take.
-    usable = [(tail, ahead) for (tail, _), (behind, ahead) in zip(table.back_pairs, table.usable)
-              if behind >> source & 1]
+    usable = [ahead for behind, ahead in table.usable if behind >> source & 1]
     found: dict[int, int | None] = {}
     bounds: dict[int, int] = {}
     for t in targets:
@@ -145,23 +144,22 @@ def max_backedge_acyclic_weight(table: WeightTable, frm: int,
             found[t] = None
         else:
             found[t] = 0
-            count = sum(ahead >> t & 1 for _, ahead in usable)
+            count = sum(ahead >> t & 1 for ahead in usable)
             if count:
-                bounds[t] = min(count, table.depth)
+                bounds[t] = count
     if bounds:
-        _longest_paths(table, frm, usable, found, bounds)
+        _longest_paths(table, frm, found, bounds)
     return found
 
 
-def _longest_paths(table: WeightTable, frm: int, usable: list[tuple[int, int]],
+def _longest_paths(table: WeightTable, frm: int,
                    found: dict[int, int | None], bounds: dict[int, int]) -> None:
     """Raise ``found[t]`` to the weight from `frm` to each target t in `bounds`.
 
     One backtracking search enumerates the node-simple paths from `frm`
     and records the weight at every target it passes, without stopping
     there.  A target closes once it reaches its bound, and a branch
-    stops once it can reach no open target, or once the back edges it
-    can still take gain on none.
+    stops once it can reach no open target.
     """
     source = table.index[frm]
     succ = table.succ
@@ -172,12 +170,6 @@ def _longest_paths(table: WeightTable, frm: int, usable: list[tuple[int, int]],
     for t, bound in bounds.items():
         goal[t] = bound
         targets |= 1 << t
-    # The usable back edges toward a target, counted at their tails:
-    # the unvisited nodes' counts bound what a path can still gain.
-    counts = [0] * len(succ)
-    for tail, ahead in usable:
-        if ahead & targets:
-            counts[tail] += 1
 
     def live_region(open_targets: int) -> int:
         """The nodes that reach one of `open_targets`."""
@@ -189,12 +181,11 @@ def _longest_paths(table: WeightTable, frm: int, usable: list[tuple[int, int]],
         return region
 
     region = live_region(targets)
-    floor = 0  # the least weight found at an open target
     cap = DEFAULT_STEP_CAP
     steps = 0
 
-    def extend(node: int, free: int, weight: int, remaining: int) -> None:
-        nonlocal targets, region, floor, steps
+    def extend(node: int, free: int, weight: int) -> None:
+        nonlocal targets, region, steps
         steps += 1
         if steps > cap:
             raise SearchBudgetExceeded(f"weight search from node {frm} exceeded {cap} steps")
@@ -206,18 +197,14 @@ def _longest_paths(table: WeightTable, frm: int, usable: list[tuple[int, int]],
                     goal[node] = 0
                     targets ^= 1 << node
                     region = live_region(targets)
-                floor = min((best[t] for t in bounds if goal[t]), default=weight)
             # A path on from a target serves only the other targets.
             ahead = live_region(targets & ~(1 << node))
-        if weight + remaining + counts[node] <= floor:
-            return
         ahead &= free
         for nxt, bit, back in succ[node]:
             if ahead & bit:
-                extend(nxt, free ^ bit, weight + back, remaining - counts[nxt])
+                extend(nxt, free ^ bit, weight + back)
 
-    extend(source, reach_of[source] & region & ~(1 << source), 0,
-           sum(counts) - counts[source])
+    extend(source, reach_of[source] & region & ~(1 << source), 0)
     for t in bounds:
         found[t] = best[t]
 
@@ -245,7 +232,7 @@ class WeightTable:
 
     def __init__(self, cfg: ControlFlowGraph):
         self.cfg = cfg
-        self.back_edges = back_edges = classify_back_edges(cfg)
+        back_edges = classify_back_edges(cfg)
         self.index = index = {node: i for i, node in enumerate(cfg.nodes)}
         self.succ: list[list[tuple[int, int, int]]] = [[] for _ in cfg.nodes]
         # Plain successor and predecessor indices, for the closures.

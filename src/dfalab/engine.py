@@ -29,8 +29,9 @@ Transfers must be pure functions of their input value: the same
 input always gives an equal output, and no transfer keeps state
 between calls.  Both solvers rely on it.
 
-Every program point starts at top, the identity of every meet, the
-entry node (forward) and the exit nodes (backward) included.  Solvers
+Every program point starts at top, the identity of every meet, so a
+node without inputs, the entry (forward) or a node without successors
+(backward), keeps top; there is no separate boundary value.  Solvers
 are single-threaded per call; instances and results are immutable and
 may be shared.
 """

@@ -124,14 +124,12 @@ class _Builder:
         head = self.fresh_node(self.random_stmt())
         tail = self.sequence(head, self.config.node_budget - 1, self.config.loop_depth)
         self.maybe_add_extra_edges(tail)
-        sources = {src for src, _ in self.edges}
         return Program(
             name=self.name,
             variables=self.variables,
             nodes=self.nodes,
             edges=tuple(self.edges),
             entry=1,
-            exits=frozenset(n for n in self.nodes if n not in sources),
         )
 
     def sequence(self, tail: int, budget: int, loop_depth: int) -> int:

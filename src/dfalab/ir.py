@@ -10,8 +10,8 @@ line oriented:
     edge INT "->" INT
     entry INT            (optional, at most once; defaults to the
                           lowest node id)
-    exit INT             (optional, repeatable; defaults to nodes
-                          without successors)
+    exit INT             (optional, repeatable; must name a node,
+                          and nothing reads it)
 
     STMT := NAME "=" RHS | "print" NAME | "skip"
     RHS  := INT | NAME | OPND OP OPND | "read()"
@@ -165,10 +165,8 @@ class Program:
     """A parsed and fully resolved program.
 
     Node ids are unique positive integers; edges reference declared
-    nodes only.  `exits` may be empty: a program whose every node has a
-    successor simply has no boundary nodes for backward analyses.
-    `facts` derives what validation and the analyses read of each
-    statement once, on first use.
+    nodes only.  `facts` derives what validation and the analyses read
+    of each statement once, on first use.
     """
 
     name: str
@@ -176,7 +174,6 @@ class Program:
     nodes: dict[int, Statement]
     edges: tuple[tuple[int, int], ...]
     entry: int
-    exits: frozenset[int]
 
     @cached_property
     def facts(self) -> dict[int, StmtFacts]:
@@ -261,7 +258,8 @@ class _LineParser:
         self.nodes: dict[int, Statement] = {}
         self.edges: list[tuple[int, int]] = []
         self.entry: int | None = None
-        self.exits: list[int] = []
+        # (node id, line number) of each exit line, checked once all nodes are read.
+        self.exits: list[tuple[int, int]] = []
 
     def parse(self) -> Program:
         nodes, edges = self.nodes, self.edges
@@ -295,19 +293,16 @@ class _LineParser:
             raise ParseError("missing 'program' declaration", 1)
         if not nodes:
             raise ParseError("program has no nodes", 1)
+        for node_id, lineno in self.exits:
+            if node_id not in nodes:
+                raise ParseError(f"exit {node_id} is not a declared node", lineno, 1)
         entry = self.entry if self.entry is not None else min(nodes)
-        if self.exits:
-            exits = frozenset(self.exits)
-        else:
-            with_succ = {src for src, _ in edges}
-            exits = frozenset(n for n in nodes if n not in with_succ)
         return Program(
             name=self.name,
             variables=tuple(self.variables),
             nodes=dict(sorted(nodes.items())),
             edges=tuple(edges),
             entry=entry,
-            exits=exits,
         )
 
     def _column(self, line: str, token: str) -> int:
@@ -345,7 +340,7 @@ class _LineParser:
         elif keyword == "exit":
             if len(tokens) != 2 or not _is_int(tokens[1]):
                 raise ParseError("expected 'exit INT'", lineno, 1)
-            self.exits.append(int(tokens[1]))
+            self.exits.append((int(tokens[1]), lineno))
         else:
             raise ParseError(f"unknown directive {keyword!r}", lineno, 1)
 
@@ -488,10 +483,6 @@ def _walk(program: Program) -> tuple[list[Diagnostic], dict, dict, tuple[int, ..
     if entry not in nodes:
         diags.append(Diagnostic("undefined-entry",
                                 f"entry {entry} is not a declared node", node=entry))
-    for ex in sorted(program.exits):
-        if ex not in nodes:
-            diags.append(Diagnostic("undefined-exit",
-                                    f"exit {ex} is not a declared node", node=ex))
 
     if ids_valid:
         for ids in (*succ.values(), *pred.values()):
@@ -557,6 +548,4 @@ def serialize_program(program: Program) -> str:
     for src, dst in program.edges:
         lines.append(f"edge {src} -> {dst}")
     lines.append(f"entry {program.entry}")
-    for ex in sorted(program.exits):
-        lines.append(f"exit {ex}")
     return "\n".join(lines) + "\n"

@@ -25,16 +25,13 @@ def fig3_cfg(fig3):
 
 
 def make_program(statements, edges, variables=("a", "b", "c"), name="tiny",
-                 entry=None, exits=None):
+                 entry=None):
     """Assemble a Program from a statement list (node ids 1..n)."""
     nodes = {i + 1: stmt for i, stmt in enumerate(statements)}
     if entry is None:
         entry = min(nodes)
-    if exits is None:
-        targets_with_succ = {s for s, _ in edges}
-        exits = frozenset(n for n in nodes if n not in targets_with_succ)
     return Program(name=name, variables=tuple(variables), nodes=nodes,
-                   edges=tuple(edges), entry=entry, exits=frozenset(exits))
+                   edges=tuple(edges), entry=entry)
 
 
 def chain_program(statements, variables=("a", "b", "c"), name="chain"):

@@ -2,7 +2,9 @@ from pathlib import Path
 
 import pytest
 
-from dfalab import SearchBudgetExceeded, bounds, build_cfg, cfg_metrics, cli, fixtures
+from dfalab import (
+    ProgramPipeline, SearchBudgetExceeded, bounds, build_cfg, cfg_metrics, cli, fixtures,
+)
 from dfalab.cfg_metrics import (
     WeightTable,
     classify_back_edges,
@@ -48,8 +50,7 @@ def test_acyclic_depth_zero():
 
 
 def test_depth_bounded_by_back_edge_count(fig3_cfg):
-    table = WeightTable(fig3_cfg)
-    assert table.depth <= len(table.back_edges)
+    assert WeightTable(fig3_cfg).depth <= len(classify_back_edges(fig3_cfg))
 
 
 @pytest.mark.parametrize("frm,to,expected", [
@@ -195,6 +196,22 @@ class TestAgainstEnumeration:
             for b in fig3_cfg.nodes:
                 if a != b:
                     assert table.weight(a, b) == enumerate_pair_weight(fig3_cfg, back, a, b)
+
+
+def test_weights_do_not_need_the_depth(fig3, fig3_cfg, monkeypatch):
+    # A target's bound is its usable back-edge count, so no weight
+    # search, and no EDG build, computes d.
+    def no_depth(table):
+        raise AssertionError("depth computed")
+
+    monkeypatch.setattr(cfg_metrics, "depth", no_depth)
+    back = classify_back_edges(fig3_cfg)
+    table = WeightTable(fig3_cfg)
+    for a in fig3_cfg.nodes:
+        for b in fig3_cfg.nodes:
+            if a != b:
+                assert table.weight(a, b) == enumerate_pair_weight(fig3_cfg, back, a, b)
+    assert ProgramPipeline(fig3).edg("cp").edges
 
 
 def test_targets_without_usable_back_edges_need_no_search(fig3_cfg, monkeypatch):

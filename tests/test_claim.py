@@ -84,7 +84,7 @@ def fig3_k(k: int) -> Program:
     edges = [(i, i + 1) for i in range(1, n)] + [(n, 4), (4, 3), (3, 2)]
     return Program(name=f"fig3_{k}", variables=tuple(v),
                    nodes={i + 1: stmt for i, stmt in enumerate(statements)},
-                   edges=tuple(edges), entry=1, exits=frozenset())
+                   edges=tuple(edges), entry=1)
 
 
 def test_fig3_k_at_4_is_fig3_renamed():
@@ -131,11 +131,9 @@ def programs(draw) -> Program:
     extra = draw(st.lists(st.tuples(node, node).filter(lambda e: e[0] != e[1]),
                           max_size=2 * n, unique=True))
     edges = chain + [e for e in extra if e not in chain]
-    has_successor = {src for src, _ in edges}
     return Program(name="gen", variables=variables,
                    nodes={i + 1: stmt for i, stmt in enumerate(statements)},
-                   edges=tuple(edges), entry=1,
-                   exits=frozenset(j for j in range(1, n + 1) if j not in has_successor))
+                   edges=tuple(edges), entry=1)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -175,11 +173,10 @@ def test_bounds_hold_on_every_three_node_program():
     for subset in range(1 << len(OFF_CHAIN)):
         edges = ((1, 2), (2, 3)) + tuple(
             edge for i, edge in enumerate(OFF_CHAIN) if subset >> i & 1)
-        exits = frozenset({1, 2, 3} - {src for src, _ in edges})
         for statements in itertools.product(VOCABULARY, repeat=3):
             program = Program(name=f"sweep{checked}", variables=("v",),
                               nodes=dict(zip((1, 2, 3), statements)),
-                              edges=edges, entry=1, exits=exits)
+                              edges=edges, entry=1)
             pipeline = ProgramPipeline(program)
             for kind in ANALYSIS_KINDS:
                 record = pipeline.record(kind)

@@ -67,6 +67,14 @@ class TestReport:
         assert code == EXIT_USAGE
         assert "undeclared variable" in captured.err
 
+    def test_exit_naming_no_node_fails_in_one_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.prog"
+        bad.write_text("program x\nvars a\nnode 1  skip\nexit 7\n", encoding="utf-8")
+        code = main(["report", str(bad)])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert err == f"dfalab: {bad}: line 4, column 1: exit 7 is not a declared node\n"
+
     def test_swap_reduces_iterations_only(self, fig3_file, swap_file, capsys):
         code = main(["report", str(fig3_file), str(swap_file), "--analysis", "cp"])
         assert code == EXIT_OK

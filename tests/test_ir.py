@@ -49,7 +49,6 @@ class TestParse:
 
     def test_fig3_defaults(self, fig3):
         assert fig3.entry == 1
-        assert fig3.exits == frozenset()
 
     def test_skip_node(self):
         p = parse_program("program t\nvars a\nnode 3  skip\n")
@@ -107,7 +106,8 @@ class TestParse:
                 "edge 1 -> 2\nedge 2 -> 1\nentry 1\nexit 2\n")
         p = parse_program(text)
         assert p.entry == 1
-        assert p.exits == frozenset({2})
+        # An exit line changes no analysis value, so it is not kept.
+        assert p == parse_program(text.replace("exit 2\n", ""))
 
     @pytest.mark.parametrize("lines,outcome", [
         ("node\t1\ta\t=\tb\t+\t1\nnode\t2\tskip\nedge\t1\t->\t2\n",
@@ -121,8 +121,11 @@ class TestParse:
         (f"node {2**63} a = 1\nnode 1 skip\nedge 1 -> {2**63}\n",
          ({1: Skip(), 2**63: ConstAssign("a", 1)}, ((1, 2**63),))),
         ("node 1 skip\nnode 2 skip\nnode 1 a = 1\n", (5, 6, "duplicate node id 1")),
+        ("exit 2\nnode 1 skip\nnode 2 skip\nedge 1 -> 2\n",
+         ({1: Skip(), 2: Skip()}, ((1, 2),))),
+        ("node 1 skip\nexit 7\n", (4, 1, "exit 7 is not a declared node")),
     ], ids=["tabs", "trailing-comment", "crlf", "spaced-read", "nul-in-literal",
-            "id-above-int64", "duplicate-id"])
+            "id-above-int64", "duplicate-id", "exit-before-its-node", "exit-names-no-node"])
     def test_node_and_edge_line_edge_cases(self, lines, outcome):
         text = "program p\nvars a, b\n" + lines
         if isinstance(outcome[0], dict):
@@ -158,7 +161,7 @@ class TestValidate:
 
     def test_edge_to_undefined_node(self):
         p = Program(name="t", variables=("a",), nodes={1: Skip()},
-                    edges=((1, 42),), entry=1, exits=frozenset())
+                    edges=((1, 42),), entry=1)
         diags = validate_program(p)
         assert any(d.code == "undefined-node-in-edge" and d.edge == (1, 42)
                    for d in diags)
@@ -169,14 +172,14 @@ class TestValidate:
 
     def test_bad_entry(self):
         p = Program(name="t", variables=(), nodes={1: Skip()}, edges=(),
-                    entry=9, exits=frozenset())
+                    entry=9)
         assert any(d.code == "undefined-entry" for d in validate_program(p))
 
     def test_non_integer_node_id_is_diagnosed_not_compared(self):
         # Node 1's successors and node 2's predecessors mix int and str
         # ids, which cannot be sorted.
         p = Program(name="t", variables=(), nodes={1: Skip(), "q": Skip(), 2: Skip()},
-                    edges=((1, 2), (1, "q"), ("q", 2)), entry=1, exits=frozenset())
+                    edges=((1, 2), (1, "q"), ("q", 2)), entry=1)
         expected = [Diagnostic("invalid-node-id", "node id 'q' is not a positive integer",
                                node="q")]
         assert validate_program(p) == expected
@@ -195,7 +198,6 @@ class TestCfg:
         cfg = build_cfg(single_skip)
         assert cfg.successors[1] == ()
         assert cfg.entry == 1
-        assert cfg.program.exits == frozenset({1})
 
     def test_mutual_consistency(self, fig3_cfg):
         for src, succs in fig3_cfg.successors.items():
@@ -218,6 +220,11 @@ class TestSerialize:
     def test_no_edges_no_edge_lines(self, single_skip):
         text = serialize_program(single_skip)
         assert not any(line.startswith("edge") for line in text.splitlines())
+
+    def test_no_exit_lines(self, single_skip):
+        text = serialize_program(single_skip)
+        assert not any(line.startswith("exit") for line in text.splitlines())
+        assert parse_program(text) == single_skip
 
     def test_fig3_round_trip(self, fig3):
         assert parse_program(serialize_program(fig3)) == fig3
