@@ -111,10 +111,12 @@ def cmd_report(paths: list[str], kinds: list[str], fmt: str, out: str | None) ->
 
 
 def cmd_generate(config: GeneratorConfig, count: int, out_dir: str) -> int:
-    programs = generate_corpus(config, count)
+    # A bad count leaves no directory, and a bad directory costs no corpus.
+    if count < 1:
+        raise ValueError("count must be positive")
     directory = Path(out_dir)
     directory.mkdir(parents=True, exist_ok=True)
-    for program in programs:
+    for program in generate_corpus(config, count):
         (directory / f"{program.name}.prog").write_text(
             serialize_program(program), encoding="utf-8")
     return EXIT_OK

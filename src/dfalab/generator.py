@@ -9,11 +9,25 @@ extra edges that may break reducibility.
 Generation is a pure function of (config, program index): the same
 inputs always produce structurally identical programs and, once
 serialized, byte-identical files.
+
+Each draw calls ``random.Random``'s primitives ``random()`` and
+``getrandbits(k)`` as the stdlib's wrappers would, so a corpus is byte
+for byte the wrappers' one.  A statement kind is the one ``random()`` and
+``bisect`` of ``choices(_KINDS, cum_weights=_CUM_WEIGHTS)``.
+``_Builder._below(n)`` is ``randrange(n)``: ``getrandbits(n.bit_length())``
+until the result is below n, as ``Random._randbelow`` does; so
+``randint(a, b)`` is ``a + _below(b - a + 1)``, ``choice(s)`` is
+``s[_below(len(s))]`` and ``randrange(1, last)`` is ``1 + _below(last - 1)``.
+The wrappers reduce to exactly these calls on CPython 3.10 and later, the
+package's floor, as ``Random`` overrides neither primitive (checked on
+3.10 to 3.13).  The corpus digests pinned in ``tests/test_generator.py``
+reach every draw site, so any drift fails there.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -36,11 +50,9 @@ DEFAULT_STMT_WEIGHTS: dict[str, float] = {
     "print": 2.0,
     "skip": 1.0,
 }
-# The statement kinds and the running sums that rng.choices(weights=...)
-# would build on every draw; the draw itself is the same single
-# random() call.
 _KINDS = tuple(DEFAULT_STMT_WEIGHTS)
 _CUM_WEIGHTS = tuple(accumulate(DEFAULT_STMT_WEIGHTS.values()))
+_TOTAL = _CUM_WEIGHTS[-1]
 
 _VAR_POOL = "abcdefghijklmnopqrstuvwxyz"
 
@@ -80,12 +92,13 @@ class GeneratorConfig:
 
 class _Builder:
     def __init__(self, rng: random.Random, config: GeneratorConfig, name: str):
-        self.rng = rng
+        self.random = rng.random
+        self.getrandbits = rng.getrandbits
         self.config = config
         self.name = name
         count = config.variable_count
         if isinstance(count, tuple):
-            count = rng.randint(count[0], count[1])
+            count = count[0] + self._below(count[1] - count[0] + 1)
         self.variables = tuple(
             _VAR_POOL[i] if i < len(_VAR_POOL) else f"v{i}" for i in range(count))
         self.nodes: dict[int, Statement] = {}
@@ -101,18 +114,28 @@ class _Builder:
     def connect(self, src: int, dst: int) -> None:
         self.edges[src, dst] = None
 
+    def _below(self, n: int) -> int:
+        """``rng.randrange(n)``: draws of n's bit length until one is below n."""
+        if n < 1:
+            raise ValueError(f"empty range for randrange({n})")
+        k = n.bit_length()
+        r = self.getrandbits(k)
+        while r >= n:
+            r = self.getrandbits(k)
+        return r
+
     def random_stmt(self) -> Statement:
-        kind = self.rng.choices(_KINDS, cum_weights=_CUM_WEIGHTS, k=1)[0]
-        rng = self.rng
-        var = lambda: rng.choice(self.variables)
+        kind = _KINDS[bisect(_CUM_WEIGHTS, self.random() * _TOTAL, 0, len(_KINDS) - 1)]
+        below, variables = self._below, self.variables
+        var = lambda: variables[below(len(variables))]
         if kind == "const":
-            return ConstAssign(var(), rng.randint(-99, 99))
+            return ConstAssign(var(), -99 + below(199))
         if kind == "copy":
             return CopyAssign(var(), var())
         if kind == "binop":
-            op = rng.choice("+-*")
-            left = var() if rng.random() < 0.8 else rng.randint(-9, 9)
-            right = var() if rng.random() < 0.8 else rng.randint(-9, 9)
+            op = "+-*"[below(3)]
+            left = var() if self.random() < 0.8 else -9 + below(19)
+            right = var() if self.random() < 0.8 else -9 + below(19)
             return BinAssign(var(), left, op, right)
         if kind == "read":
             return ReadAssign(var())
@@ -135,7 +158,7 @@ class _Builder:
     def sequence(self, tail: int, budget: int, loop_depth: int) -> int:
         """Append items after `tail` until the budget runs out; returns the new tail."""
         while budget > 0:
-            roll = self.rng.random()
+            roll = self.random()
             if budget >= 4 and roll < 0.18:
                 tail, budget = self.diamond(tail, budget, loop_depth)
             elif budget >= 3 and loop_depth > 0 and roll < 0.38:
@@ -151,8 +174,8 @@ class _Builder:
         head = self.fresh_node(self.random_stmt())
         self.connect(tail, head)
         budget -= 2  # head plus join
-        inner = max(0, min(budget - 1, self.rng.randint(0, budget - 1)))
-        then_budget = self.rng.randint(0, inner)
+        inner = self._below(budget)
+        then_budget = self._below(inner + 1)
         else_budget = inner - then_budget
         before = len(self.nodes)
         then_tail = self.sequence(head, then_budget, loop_depth)
@@ -169,7 +192,7 @@ class _Builder:
         header = self.fresh_node(self.random_stmt())
         self.connect(tail, header)
         budget -= 1
-        body_budget = max(1, min(budget - 1, self.rng.randint(1, max(1, budget // 2))))
+        body_budget = 1 + self._below(budget // 2)
         before = len(self.nodes)
         body_head = self.fresh_node(self.random_stmt())
         self.connect(header, body_head)
@@ -186,10 +209,10 @@ class _Builder:
         for src in range(1, last + 1):
             if src == final_tail:
                 continue
-            if self.rng.random() < prob:
+            if self.random() < prob:
                 # The draw of rng.choice over the ids other than src,
                 # without building that list.
-                dst = self.rng.randrange(1, last)
+                dst = 1 + self._below(last - 1)
                 self.connect(src, dst if dst < src else dst + 1)
 
 

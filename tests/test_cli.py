@@ -12,6 +12,7 @@ from dfalab import (
     engine,
     fixtures,
     generate_corpus,
+    generator,
     ir,
     serialize_program,
 )
@@ -192,6 +193,13 @@ class TestReport:
 
 
 class TestGenerate:
+    @pytest.fixture
+    def refuse_generation(self, monkeypatch):
+        """Fail the test if a program is generated."""
+        def refuse(config, index):
+            raise AssertionError("generated a program")
+        monkeypatch.setattr(generator, "generate_program", refuse)
+
     def test_writes_deterministic_files(self, tmp_path):
         out1 = tmp_path / "a"
         out2 = tmp_path / "b"
@@ -220,7 +228,15 @@ class TestGenerate:
         assert code == EXIT_OK
         assert len(rows(capsys.readouterr().out)) == 3
 
-    def test_out_is_a_file_fails_in_one_line(self, fig3_file, capsys):
+    def test_writes_the_generated_corpus(self, tmp_path):
+        out = tmp_path / "corpus"
+        assert main(["generate", "--seed", "42", "--count", "50",
+                     "--out", str(out)]) == EXIT_OK
+        written = [path.read_text(encoding="utf-8") for path in sorted(out.iterdir())]
+        assert written == [serialize_program(p)
+                           for p in generate_corpus(GeneratorConfig(seed=42), 50)]
+
+    def test_out_is_a_file_fails_in_one_line(self, fig3_file, capsys, refuse_generation):
         assert main(["generate", "--count", "1", "--out", str(fig3_file)]) == EXIT_USAGE
         assert capsys.readouterr().err == f"dfalab: {fig3_file}: File exists\n"
 
@@ -234,7 +250,8 @@ class TestGenerate:
         (["--vars", "0"], "variable count must be at least 1, got 0"),
         (["--vars", "0-3"], "variable count must be at least 1, got (0, 3)"),
     ])
-    def test_bad_arguments_fail_in_one_line(self, tmp_path, capsys, flags, message):
+    def test_bad_arguments_fail_in_one_line(self, tmp_path, capsys, refuse_generation,
+                                            flags, message):
         out = tmp_path / "corpus"
         code = main(["generate", *flags, "--out", str(out)])
         err = capsys.readouterr().err
