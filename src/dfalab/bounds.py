@@ -116,8 +116,7 @@ class ProgramPipeline:
         if kind not in self._edgs:
             renamed = RENAMED_KIND.get(kind)
             self._edgs[kind] = build_edg(
-                self.program, self.framework(kind), cfg=self.cfg,
-                weights=self.weights,
+                self.cfg, self.framework(kind), weights=self.weights,
                 renamed=self.solution(renamed) if renamed else None)
         return self._edgs[kind]
 

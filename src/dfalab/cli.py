@@ -24,7 +24,7 @@ from collections import Counter
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .analyses import ANALYSIS_KINDS
+from .analyses import ANALYSIS_KINDS, CP_KIND, FAINT_KIND
 from .bounds import BoundsRecord, ProgramPipeline, emit_report
 from .generator import GeneratorConfig, generate_corpus
 from .ir import InvalidProgramError, ParseError, parse_program, serialize_program
@@ -90,6 +90,12 @@ def _records_for(pipelines: Iterable[ProgramPipeline], kinds: list[str],
     return records, programs
 
 
+def _exit_code(errors: list[str], violated: bool) -> int:
+    if errors:
+        return EXIT_USAGE
+    return EXIT_BOUND_VIOLATION if violated else EXIT_OK
+
+
 def _write_bytes(data: bytes, out: str | None) -> None:
     if out is None:
         sys.stdout.write(data.decode("utf-8"))
@@ -103,11 +109,7 @@ def cmd_report(paths: list[str], kinds: list[str], fmt: str, out: str | None) ->
                               kinds, errors)
     _print_errors(errors)
     _write_bytes(emit_report(records, fmt), out)
-    if errors:
-        return EXIT_USAGE
-    if any(r.bound_violated for r in records):
-        return EXIT_BOUND_VIOLATION
-    return EXIT_OK
+    return _exit_code(errors, any(r.bound_violated for r in records))
 
 
 def cmd_generate(config: GeneratorConfig, count: int, out_dir: str) -> int:
@@ -170,11 +172,7 @@ def cmd_corpus(directory: str, kinds: list[str], fmt: str, out: str | None) -> i
         (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n",
                                               encoding="utf-8")
 
-    if errors:
-        return EXIT_USAGE
-    if summary["violations"]:
-        return EXIT_BOUND_VIOLATION
-    return EXIT_OK
+    return _exit_code(errors, summary["violations"] > 0)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -228,7 +226,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
 
-    kinds = args.analysis if getattr(args, "analysis", None) else ["cp", "faint"]
+    kinds = args.analysis if getattr(args, "analysis", None) else [CP_KIND, FAINT_KIND]
     try:
         if args.command == "report":
             return cmd_report(args.files, kinds, args.format, args.out)

@@ -35,9 +35,12 @@ only when read.
 
 The search condenses the EDG into strongly connected components and
 combines exhaustive small searches inside each component with one
-longest-path sweep over the condensation, seeded at every entry node.  Only the heaviest cycle of a structure is
-charged, which is sound under monotonic entity dependence (condition
-10; the test suite checks it on solve traces).  The search reads the
+longest-path sweep over the condensation, seeded at every entry node.
+Only the heaviest cycle of a structure is charged, which is sound
+under monotonic entity dependence (condition 10; the test suite checks
+it on solve traces).  That rule is one flag, whether a structure has
+taken its cycle: the component search walks with it, and the sweep
+keeps two arrays, one per flag value.  The search reads the
 adjacency as built, with node sets as int bitmasks.  The search for
 one EDG may take ``DEFAULT_DELTA_STEP_CAP`` (one million) steps per
 entry node, pooled over the sweep.
@@ -52,7 +55,7 @@ from typing import Iterable
 from .analyses import CP_KIND, FAINT_KIND, LIVE_KIND, REACH_KIND, Instance
 from .cfg_metrics import FORWARD, SearchBudgetExceeded, WeightTable
 from .engine import FrameworkInstance, SolveResult
-from .ir import ControlFlowGraph, Program
+from .ir import ControlFlowGraph
 
 DEFAULT_DELTA_STEP_CAP = 1_000_000
 _DELTA_BUDGET_MESSAGE = "degree-of-dependence enumeration exceeded its step budget"
@@ -100,7 +103,7 @@ class EntityDependenceGraph:
 RENAMED_KIND = {CP_KIND: REACH_KIND, FAINT_KIND: LIVE_KIND}
 
 
-def build_edg(program: Program, fw: FrameworkInstance, *, cfg: ControlFlowGraph,
+def build_edg(cfg: ControlFlowGraph, fw: FrameworkInstance, *,
               weights: WeightTable, renamed: SolveResult) -> EntityDependenceGraph:
     """Construct the EDG of a ``cp`` or ``faint`` instance.
 
@@ -110,8 +113,7 @@ def build_edg(program: Program, fw: FrameworkInstance, *, cfg: ControlFlowGraph,
     live at j's exit.  ``renamed`` is the solution of the
     ``RENAMED_KIND`` analysis on `cfg`: its entities are the EDG nodes
     and its set mask bits the instances arriving.  `weights` is the
-    CFG's weight table.  `program` is not read; it stays first because
-    the benchmark's tracer reads the framework as the second argument.
+    CFG's weight table.
     """
     if fw.kind not in RENAMED_KIND:
         raise ValueError(f"no EDG construction rule for kind {fw.kind!r}")
@@ -230,33 +232,36 @@ def _tarjan_sccs(adj: list[list[tuple[int, int]]], roots: Iterable[int]) -> list
 
 
 def _scan_component(adj: dict[int, list[tuple[int, int, int]]], h_hat: int,
-                    entry: int, steps: int) -> tuple[dict[int, int], dict[int, int],
+                    entry: int, steps: int) -> tuple[tuple[dict[int, int], dict[int, int]],
                                                      dict[int, int], int]:
     """Exhaustive structure search inside one strongly connected component.
 
     ``adj[u]`` lists u's edges inside the component as ``(v, weight,
-    1 << v)``; node sets are int masks.  Returns ``end0``, ``end1``,
-    ``absorbed`` and the steps left of `steps`, the budget pooled with
-    the sweep's other scans.
-    ``end0[v]``: best weight of a simple path entry->v using no cycle.
-    ``end1[v]``: best value using exactly one anchored cycle.
+    1 << v)``; node sets are int masks.  One walk carries one flag,
+    ``taken``: whether its structure has charged its cycle.  Returns
+    ``best``, ``absorbed`` and the steps left of `steps`, the budget
+    pooled with the sweep's other scans.
+    ``best[taken][v]``: best value of a structure entry->v that has
+    charged no cycle (``taken`` false) or exactly one anchored cycle.
     ``absorbed[v]``: best value of a structure whose final element is
     a cycle containing v.
     """
-    end0: dict[int, int] = {}
-    end1: dict[int, int] = {}
+    best: tuple[dict[int, int], dict[int, int]] = ({}, {})
     ending: dict[int, int] = {}  # cycle members mask -> best final value
 
-    def walk(node: int, visited: int, value: int) -> None:
+    def walk(node: int, visited: int, value: int, taken: bool) -> None:
         nonlocal steps
         steps -= 1
         if steps < 0:
             raise SearchBudgetExceeded(_DELTA_BUDGET_MESSAGE)
-        if value > end0.get(node, -1):
-            end0[node] = value
+        reached = best[taken]
+        if value > reached.get(node, -1):
+            reached[node] = value
         for nxt, w, bit in adj[node]:
             if not visited & bit:
-                walk(nxt, visited | bit, value + w)
+                walk(nxt, visited | bit, value + w, taken)
+        if taken:
+            return
         # Cycles in one structure are pairwise node-disjoint, and only
         # the heaviest is charged, so one cycle per structure suffices.
         for interior, cycle_weight in cycles_at(node, visited):
@@ -264,19 +269,7 @@ def _scan_component(adj: dict[int, list[tuple[int, int, int]]], h_hat: int,
             members = interior | 1 << node
             if gained > ending.get(members, -1):
                 ending[members] = gained
-            walk_on(node, visited | interior, gained)
-
-    def walk_on(node: int, visited: int, value: int) -> None:
-        """Continue a structure that has taken its cycle."""
-        nonlocal steps
-        steps -= 1
-        if steps < 0:
-            raise SearchBudgetExceeded(_DELTA_BUDGET_MESSAGE)
-        if value > end1.get(node, -1):
-            end1[node] = value
-        for nxt, w, bit in adj[node]:
-            if not visited & bit:
-                walk_on(nxt, visited | bit, value + w)
+            walk(node, visited | interior, gained, True)
 
     def cycles_at(anchor: int, banned: int) -> list[tuple[int, int]]:
         found: list[tuple[int, int]] = []
@@ -296,7 +289,7 @@ def _scan_component(adj: dict[int, list[tuple[int, int, int]]], h_hat: int,
         extend(anchor, 0, 0)
         return found
 
-    walk(entry, 1 << entry, 0)
+    walk(entry, 1 << entry, 0, False)
     absorbed: dict[int, int] = {}
     for members, value in ending.items():
         while members:
@@ -305,7 +298,7 @@ def _scan_component(adj: dict[int, list[tuple[int, int, int]]], h_hat: int,
             member = bit.bit_length() - 1
             if value > absorbed.get(member, -1):
                 absorbed[member] = value
-    return end0, end1, absorbed, steps
+    return best, absorbed, steps
 
 
 def delta_vector(edg: EntityDependenceGraph, starts: list[int], h_hat: int) -> dict[int, int]:
@@ -315,8 +308,8 @@ def delta_vector(edg: EntityDependenceGraph, starts: list[int], h_hat: int) -> d
     inside each component, and sweeps the condensation in topological
     order with every origin seeded at 0.  The sweep is max-plus linear
     in its seeds, so the result is the pointwise maximum of the
-    single-origin vectors.  At most one cycle is ever charged, so a
-    single taken/not-taken flag suffices in the sweep.
+    single-origin vectors.  At most one cycle is ever charged, so the
+    sweep needs one flag and two arrays, one per flag value.
 
     The sweep may take ``DEFAULT_DELTA_STEP_CAP`` steps per origin,
     pooled.  It runs each component scan once where separate
@@ -338,40 +331,41 @@ def delta_vector(edg: EntityDependenceGraph, starts: list[int], h_hat: int) -> d
     # Tarjan emits components in reverse topological order.
     for comp in reversed(_tarjan_sccs(adj, starts)):
         u = comp[0]
-        if len(comp) == 1 and all(v != u for v, _ in adj[u]):
-            # Trivial component: staying put is the only move.
-            out = {u: (in0[u], in1[u])}
-        else:
+        members = 1 << u
+        # A trivial component, a node without a self edge, has no
+        # move but staying put: its arrays already hold its values.
+        if len(comp) > 1 or any(v == u for v, _ in adj[u]):
             members = sum(1 << v for v in comp)
             inner = {v: [(x, w, 1 << x) for x, w in adj[v] if members >> x & 1]
                      for v in comp}
-            out0 = dict.fromkeys(comp, -1)
-            out1 = dict.fromkeys(comp, -1)
-            for u in comp:
-                base0, base1 = in0[u], in1[u]
+            # Every scan starts from the values that entered the
+            # component, before any scan of it wrote back.  A scan
+            # reaches its own entry at 0, so writing back with max
+            # keeps those values.
+            for u, base0, base1 in [(u, in0[u], in1[u]) for u in comp]:
                 if base0 < 0 and base1 < 0:
                     continue
-                end0, end1, absorbed, steps = _scan_component(inner, h_hat, u, steps)
+                (end0, end1), absorbed, steps = _scan_component(inner, h_hat, u, steps)
                 for v, val in end0.items():
-                    if base0 >= 0 and base0 + val > out0[v]:
-                        out0[v] = base0 + val
-                    if base1 >= 0 and base1 + val > out1[v]:
-                        out1[v] = base1 + val
+                    if base0 >= 0 and base0 + val > in0[v]:
+                        in0[v] = base0 + val
+                    if base1 >= 0 and base1 + val > in1[v]:
+                        in1[v] = base1 + val
                 if base0 >= 0:
                     # Only the heaviest cycle is charged, so a structure
                     # that already took one gains nothing from another.
                     for v, val in end1.items():
-                        if base0 + val > out1[v]:
-                            out1[v] = base0 + val
+                        if base0 + val > in1[v]:
+                            in1[v] = base0 + val
                     for v, val in absorbed.items():
                         if base0 + val > result.get(v, -1):
                             result[v] = base0 + val
-            out = {v: (out0[v], out1[v]) for v in comp}
-        for v, (value0, value1) in out.items():
+        for v in comp:
+            value0, value1 = in0[v], in1[v]
             if max(value0, value1) > result.get(v, -1):
                 result[v] = max(value0, value1)
             for dst, w in adj[v]:
-                if dst not in out:
+                if not members >> dst & 1:
                     if value0 >= 0 and value0 + w > in0[dst]:
                         in0[dst] = value0 + w
                     if value1 >= 0 and value1 + w > in1[dst]:

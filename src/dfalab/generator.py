@@ -179,14 +179,12 @@ class _Builder:
         else_budget = inner - then_budget
         before = len(self.nodes)
         then_tail = self.sequence(head, then_budget, loop_depth)
-        spent_then = len(self.nodes) - before
-        before = len(self.nodes)
         else_tail = self.sequence(head, else_budget, loop_depth)
-        spent_else = len(self.nodes) - before
+        spent = len(self.nodes) - before
         join = self.fresh_node(Skip())
         self.connect(then_tail, join)
         self.connect(else_tail, join)
-        return join, budget - spent_then - spent_else
+        return join, budget - spent
 
     def loop(self, tail: int, budget: int, loop_depth: int) -> tuple[int, int]:
         header = self.fresh_node(self.random_stmt())

@@ -357,14 +357,11 @@ class _LineParser:
         if _is_int(token):
             return self._literal(line, token, lineno)
         if _is_name(token):
-            self._require_declared(token, line, lineno)
-            return token
+            raise self._undeclared(token, line, lineno)
         raise ParseError(f"bad operand {token!r}", lineno, self._column(line, token))
 
-    def _require_declared(self, var: str, line: str, lineno: int) -> None:
-        if var not in self.declared:
-            raise ParseError(f"undeclared variable {var!r}", lineno,
-                             self._column(line, var))
+    def _undeclared(self, var: str, line: str, lineno: int) -> ParseError:
+        return ParseError(f"undeclared variable {var!r}", lineno, self._column(line, var))
 
     def _parse_stmt(self, line: str, tokens: list[str], lineno: int) -> Statement:
         # A declared variable is a name, so checking the declared set
@@ -375,7 +372,8 @@ class _LineParser:
         if tokens[0] == "print":
             if len(tokens) != 2 or tokens[1] not in declared and not _is_name(tokens[1]):
                 raise ParseError("expected 'print NAME'", lineno, 1)
-            self._require_declared(tokens[1], line, lineno)
+            if tokens[1] not in declared:
+                raise self._undeclared(tokens[1], line, lineno)
             return Print(tokens[1])
         if len(tokens) >= 3 and tokens[1] == "=":
             target = tokens[0]
@@ -383,7 +381,7 @@ class _LineParser:
                 if not _is_name(target):
                     raise ParseError(f"bad assignment target {target!r}", lineno,
                                      self._column(line, target))
-                self._require_declared(target, line, lineno)
+                raise self._undeclared(target, line, lineno)
             rhs = tokens[2:]
             if rhs == ["read()"] or rhs == ["read", "(", ")"]:
                 return ReadAssign(target)
@@ -396,8 +394,7 @@ class _LineParser:
                 if not _is_name(source):
                     raise ParseError(f"bad right-hand side {source!r}", lineno,
                                      self._column(line, source))
-                self._require_declared(source, line, lineno)
-                return CopyAssign(target, source)
+                raise self._undeclared(source, line, lineno)
             if len(rhs) == 3:
                 if rhs[1] not in BINARY_OPS:
                     raise ParseError(f"unknown operator {rhs[1]!r}", lineno,

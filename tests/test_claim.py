@@ -10,11 +10,12 @@ import itertools
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, target
 from hypothesis import strategies as st
 
 from dfalab import ANALYSIS_KINDS, ProgramPipeline, fixtures, parse_program, serialize_program
 from dfalab.analyses import BITVECTOR_KINDS
+from dfalab.edg import degree_of_dependence
 from dfalab.engine import worklist_solve
 from dfalab.ir import (
     BINARY_OPS,
@@ -139,14 +140,20 @@ def programs(draw) -> Program:
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(programs())
 def test_bounds_hold_on_generated_programs(program):
+    # The search is steered towards records close to B2, and towards
+    # cp/faint records whose passes need more than delta1, delta with
+    # each cycle charged once instead of h_hat times.
     pipeline = ProgramPipeline(program)
     for kind in ANALYSIS_KINDS:
         record = pipeline.record(kind)
+        target(record.iterations - record.b2, label=f"I - B2, {kind}")
         assert record.iterations <= record.b1 and record.iterations <= record.b2, record
         if kind in BITVECTOR_KINDS:
             assert record.delta == 0 and record.iterations <= 1 + record.d, record
         else:
             edg = pipeline.edg(kind)
+            delta1 = degree_of_dependence(edg, 1)
+            target(record.iterations - 1 - record.d - delta1, label=f"I - 1 - d - delta1, {kind}")
             if len(edg.labels) <= 10:
                 assert record.delta == enumerate_degree(edg, record.h_hat), kind
         rr = pipeline.solution(kind)

@@ -12,6 +12,10 @@ method against the calls in ``src``: a default that no call sets is a
 setting nothing changes, and one that every call sets is a second way
 in that only readers outside ``src`` take.  ``DEFAULTS_KEPT`` lists
 the exceptions with their reasons.
+
+Every parameter of every def and lambda, the fixtures package's
+included, must be named by its body: an argument that nothing reads is
+a way in that changes nothing.  ``PARAMS_KEPT`` lists the exceptions.
 """
 
 import ast
@@ -157,3 +161,46 @@ def test_every_default_is_one_that_some_src_caller_relies_on():
 
 def test_kept_defaults_are_still_idle():
     assert set(_idle_defaults()) >= set(DEFAULTS_KEPT)
+
+
+# Parameters that no body reads, and why each stays.
+PARAMS_KEPT = {
+    "make_framework(cfg)": "the benchmark's checks pass it positionally",
+}
+
+
+@functools.cache
+def _unread_params() -> frozenset[str]:
+    """``name(param)`` of each parameter, of any def or lambda in src, that its body never names.
+
+    The fixtures package counts too.  A method's receiver is bound by
+    the call, so it is not held against the body.
+    """
+    unread = set()
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        methods = {id(item) for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+                   for item in node.body if isinstance(item, ast.FunctionDef)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                continue
+            args = node.args
+            params = [a.arg for a in args.posonlyargs + args.args]
+            if id(node) in methods:
+                params = params[1:]
+            params += [a.arg for a in args.kwonlyargs]
+            params += [a.arg for a in (args.vararg, args.kwarg) if a]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            named = {n.id for part in body for n in ast.walk(part) if isinstance(n, ast.Name)}
+            name = getattr(node, "name", "<lambda>")
+            unread.update(f"{name}({param})" for param in params if param not in named)
+    return frozenset(unread)
+
+
+def test_every_parameter_is_read():
+    unread = sorted(_unread_params() - set(PARAMS_KEPT))
+    assert not unread, f"parameters that their body never reads: {unread}"
+
+
+def test_kept_params_are_still_unread():
+    assert _unread_params() >= set(PARAMS_KEPT)
