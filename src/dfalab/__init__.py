@@ -18,7 +18,6 @@ from .ir import (
     build_cfg,
     parse_program,
     serialize_program,
-    validate_program,
 )
 from .cfg_metrics import SearchBudgetExceeded
 from .engine import DivergenceError, round_robin_solve, worklist_solve

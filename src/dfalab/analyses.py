@@ -15,9 +15,13 @@ Five analyses share the generic engine:
 
 The bit-vector analyses are separable: every transfer is a constant
 or the identity per component, so entities never influence each
-other.  All but ``cp`` have two-point component lattices, so their
-values are int masks (``engine.MaskSpace``) and their transfers are
-bit operations.
+other, and they declare no ``dfpuse`` table.  ``cp`` and ``faint``
+declare one for every node; the EDG reads it, with forward kinds
+resolving their instances through ``reach`` and backward kinds
+through ``live``, and entry nodes are the instances at statements
+that read nothing.  All but ``cp`` have two-point component lattices,
+so their values are int masks (``engine.MaskSpace``) and their
+transfers are bit operations.
 """
 
 from __future__ import annotations
@@ -39,7 +43,6 @@ from .ir import (
     CopyAssign,
     Print,
     Program,
-    ReadAssign,
     Statement,
     wrap64,
 )
@@ -166,24 +169,16 @@ def make_constant_propagation(program: Program) -> FrameworkInstance:
     space = entity_space(tuple(program.variables), CP_LATTICE)
     transfers: dict[int, Callable[[Value], Value]] = {}
     dfpuse: dict[int, frozenset] = {}
-    sources: dict[int, frozenset] = {}
     empty: frozenset = frozenset()
     facts = program.facts
     for node, stmt in program.nodes.items():
         transfers[node] = cp_transfer(stmt, space.index)
-        if isinstance(stmt, ASSIGNMENTS):
-            _, uses, _, _ = facts[node]
-            dfpuse[node] = uses
-            # Constants, reads, and literal-only binops yield a non-top
-            # value no matter what flows in.
-            independent = isinstance(stmt, (ConstAssign, ReadAssign)) or (
-                isinstance(stmt, BinAssign) and not uses)
-            sources[node] = frozenset((stmt.target,)) if independent else empty
-        else:
-            dfpuse[node] = sources[node] = empty
+        # An assignment reads its uses.  Constants, reads and
+        # literal-only binops read nothing and yield a non-top value.
+        dfpuse[node] = facts[node][1] if isinstance(stmt, ASSIGNMENTS) else empty
     return FrameworkInstance(
         kind=CP_KIND, direction=FORWARD, space=space, transfers=transfers,
-        dfpuse=dfpuse, independent_sources=sources)
+        dfpuse=dfpuse)
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +213,6 @@ def make_faint_variables(program: Program) -> FrameworkInstance:
     alone = {var: frozenset((var,)) for var in space.entities}
     transfers: dict[int, Callable[[Value], Value]] = {}
     dfpuse: dict[int, frozenset] = {}
-    sources: dict[int, frozenset] = {}
     empty: frozenset = frozenset()
     facts = program.facts
     for node, stmt in program.nodes.items():
@@ -230,17 +224,16 @@ def make_faint_variables(program: Program) -> FrameworkInstance:
             t = bit[stmt.target]
             transfers[node] = lambda v, t=t, c=~t, u=u: v & c | u if v & t else v & c
             dfpuse[node] = alone[stmt.target]
-            sources[node] = empty
         elif isinstance(stmt, Print):
+            # A print reads nothing and makes its operand not faint.
             transfers[node] = (lambda v, b=bit[stmt.source]: v | b)
-            sources[node] = alone[stmt.source]
             dfpuse[node] = empty
         else:
             transfers[node] = _identity
-            dfpuse[node] = sources[node] = empty
+            dfpuse[node] = empty
     return FrameworkInstance(
         kind=FAINT_KIND, direction=BACKWARD, space=space, transfers=transfers,
-        dfpuse=dfpuse, independent_sources=sources)
+        dfpuse=dfpuse)
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +342,7 @@ def make_bitvector_framework(program: Program, kind: str) -> FrameworkInstance:
     # Separable: no transfer reads an entity, so no dependences to declare.
     return FrameworkInstance(
         kind=kind, direction=direction, space=space, transfers=transfers,
-        dfpuse={}, independent_sources={})
+        dfpuse={})
 
 
 def make_framework(program: Program, kind: str,

@@ -18,9 +18,9 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 
-from .analyses import make_framework
-from .cfg_metrics import WeightTable
-from .edg import RENAMED_KIND, EntityDependenceGraph, build_edg, degree_of_dependence
+from .analyses import LIVE_KIND, REACH_KIND, make_framework
+from .cfg_metrics import FORWARD, WeightTable
+from .edg import EntityDependenceGraph, build_edg, degree_of_dependence
 from .engine import FrameworkInstance, SolveResult, product_height, round_robin_solve
 from .ir import Program, build_cfg
 
@@ -83,9 +83,10 @@ class ProgramPipeline:
     The one assembler of records: each stage is called with the inputs
     the pipeline holds.  One pipeline per program; CFG metrics and
     pairwise weights are shared across analysis kinds, and the
-    ``reach``/``live`` solutions also resolve the ``cp``/``faint`` EDG
-    instances.  A separable framework gets delta 0 and no EDG.  Solves
-    record no trace.
+    ``reach`` solution also resolves the EDG instances of a forward
+    kind (``cp``), the ``live`` solution those of a backward one
+    (``faint``).  A separable framework gets delta 0 and no EDG.
+    Solves record no trace.
     """
 
     def __init__(self, program: Program):
@@ -114,18 +115,17 @@ class ProgramPipeline:
 
     def edg(self, kind: str) -> EntityDependenceGraph:
         if kind not in self._edgs:
-            renamed = RENAMED_KIND.get(kind)
-            self._edgs[kind] = build_edg(
-                self.cfg, self.framework(kind), weights=self.weights,
-                renamed=self.solution(renamed) if renamed else None)
+            fw = self.framework(kind)
+            renamed = REACH_KIND if fw.direction == FORWARD else LIVE_KIND
+            self._edgs[kind] = build_edg(self.cfg, fw, weights=self.weights,
+                                         renamed=self.solution(renamed))
         return self._edgs[kind]
 
     def delta(self, kind: str) -> int:
         """0 for a separable framework, whose transfers read no entity."""
         if kind not in self._deltas:
             fw = self.framework(kind)
-            separable = not any(fw.dfpuse.values())
-            self._deltas[kind] = 0 if separable else degree_of_dependence(
+            self._deltas[kind] = 0 if fw.separable else degree_of_dependence(
                 self.edg(kind), fw.lattice.height)
         return self._deltas[kind]
 

@@ -3,14 +3,17 @@
 An EDG node is an entity instantiated at the statement whose flow
 function computes it.  An edge alpha_i -> beta_j records that the
 value computed for beta at statement j directly reads the instance of
-alpha coming from statement i.  Instances are resolved with the
-solution of the renamed reaching-definitions framework (``reach``, for
-forward analyses) or the renamed live-uses framework (``live``, for
-backward analyses): they are the set bits of that solution's masks,
-named through its ``space``.  ``build_edg`` takes that solution, the
-CFG and its ``WeightTable`` from ``ProgramPipeline``, which holds
-them.  A framework whose transfers read no entity is separable: its
-delta is 0 and it gets no EDG.
+alpha coming from statement i.  The rule reads only the framework's
+direction and its ``dfpuse`` table, never its kind: forward kinds
+resolve instances through the renamed reaching-definitions framework
+(``reach``) and backward kinds through the renamed live-uses
+framework (``live``).  Instances are the set bits of that solution's
+masks, named through its ``space``.  Entry nodes are the instances at
+statements that read nothing: such a statement sets what it computes
+off top, and no edge enters it.  ``build_edg`` takes the renamed
+solution, the CFG and its ``WeightTable`` from ``ProgramPipeline``,
+which holds them.  A framework that declares no ``dfpuse`` table is
+separable: its delta is 0 and it gets no EDG.
 
 Each edge carries the maximum back-edge count over acyclic CFG paths
 between its two statements, oriented by analysis direction.  An edge
@@ -52,7 +55,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-from .analyses import CP_KIND, FAINT_KIND, LIVE_KIND, REACH_KIND, Instance
+from .analyses import Instance
 from .cfg_metrics import FORWARD, SearchBudgetExceeded, WeightTable
 from .engine import FrameworkInstance, SolveResult
 from .ir import ControlFlowGraph
@@ -74,11 +77,12 @@ class EntityDependenceGraph:
 
     Node i is ``labels[i]``, in (statement, variable) order;
     ``adj[i]`` lists its edges as ``(j, weight)`` and ``entries`` the
-    entry nodes: in-degree-zero nodes whose flow function yields
-    non-top on its own.  No entry node means no information can
-    enter: every entity stays top and the analysis need not run.  The
-    object views ``nodes`` and ``edges``, which the benchmark's tracer
-    counts, are derived on first read.
+    entry nodes: the instances at statements that read nothing, which
+    have no in-edge and whose flow function yields non-top on its own.
+    No entry node means no information can enter: every entity stays
+    top and the analysis need not run.  The object views ``nodes`` and
+    ``edges``, which the benchmark's tracer counts, are derived on
+    first read.
     """
 
     kind: str
@@ -98,24 +102,21 @@ class EntityDependenceGraph:
                      for u, out in enumerate(self.adj) for v, w in out)
 
 
-# The bit-vector analysis whose solution resolves the renamed instances
-# a non-separable kind's EDG connects.
-RENAMED_KIND = {CP_KIND: REACH_KIND, FAINT_KIND: LIVE_KIND}
-
-
 def build_edg(cfg: ControlFlowGraph, fw: FrameworkInstance, *,
               weights: WeightTable, renamed: SolveResult) -> EntityDependenceGraph:
-    """Construct the EDG of a ``cp`` or ``faint`` instance.
+    """Construct the EDG of a non-separable instance.
 
     Each renamed instance arriving at statement j whose variable j's
-    flow function reads gets an edge to every entity j computes: for
-    ``cp`` the definitions reaching j's entry, for ``faint`` the uses
-    live at j's exit.  ``renamed`` is the solution of the
-    ``RENAMED_KIND`` analysis on `cfg`: its entities are the EDG nodes
-    and its set mask bits the instances arriving.  `weights` is the
-    CFG's weight table.
+    flow function reads (``fw.dfpuse[j]``) gets an edge to every
+    entity j computes: forward, the definitions reaching j's entry;
+    backward, the uses live at j's exit.  The instances at a statement
+    that reads nothing are the entry nodes.
+    ``renamed`` is the solution on `cfg` of ``reach`` for a forward
+    `fw` and of ``live`` for a backward one: its entities are the EDG
+    nodes and its set mask bits the instances arriving.  `weights` is
+    the CFG's weight table.
     """
-    if fw.kind not in RENAMED_KIND:
+    if fw.separable:
         raise ValueError(f"no EDG construction rule for kind {fw.kind!r}")
     # EDG node i is renamed instance i; own[j] lists the instances at
     # statement j, the entities j computes.
@@ -130,9 +131,14 @@ def build_edg(cfg: ControlFlowGraph, fw: FrameworkInstance, *,
     arriving = renamed.in_values if forward else renamed.out_values
     # (origin node, statement j, weight pair), in ascending j.
     hits: list[tuple[int, int, tuple[int, int]]] = []
+    entries: list[int] = []
     for j in cfg.nodes:
+        if j not in own:
+            continue
         read = fw.dfpuse[j]
-        if j not in own or not read:
+        if not read:
+            # Nothing flows into j's instances: they are entry nodes.
+            entries += own[j]
             continue
         # The renamed instances at bottom whose variable j reads.
         mask = 0
@@ -167,10 +173,6 @@ def build_edg(cfg: ControlFlowGraph, fw: FrameworkInstance, *,
         out = adj[origin]
         for v in own[j]:
             out.append((v, w))
-    targeted = {j for _, j, _ in hits}
-    sources = fw.independent_sources
-    entries = [i for i, inst in enumerate(labels)
-               if inst.var in sources[inst.stmt] and inst.stmt not in targeted]
     return EntityDependenceGraph(fw.kind, labels, adj, entries)
 
 

@@ -124,12 +124,13 @@ class FrameworkInstance:
     """A data flow framework instantiated on one program.
 
     ``transfers`` maps each node to a function over product values.
-    ``dfpuse`` names the entities a node's transfer reads.
-    ``independent_sources`` are the entities a node's transfer sets to
-    a non-top value regardless of input (constants, reads, prints):
-    these are the only places where information can enter the
-    analysis.  Separable instances, whose transfers read no entity,
-    declare no dependences: both tables are empty.
+    ``dfpuse`` names the entities a node's transfer reads.  A separable
+    instance, whose transfers read no entity, declares no dependence
+    table at all: ``dfpuse`` is empty and ``separable`` is true.  A
+    non-separable one lists every node, and its contract is that a
+    node whose transfer reads nothing sets the entities it computes
+    off top: that is where information enters the analysis, so the
+    EDG takes the instances at such nodes as its entry nodes.
     """
 
     kind: str
@@ -137,15 +138,18 @@ class FrameworkInstance:
     space: EntitySpace
     transfers: dict[int, Callable[[Value], Value]]
     dfpuse: dict[int, frozenset[Entity]]
-    independent_sources: dict[int, frozenset[Entity]]
 
     def __post_init__(self) -> None:
         declared = frozenset(self.space.entities)
-        for table in (self.dfpuse, self.independent_sources):
-            for node, entities in table.items():
-                if not declared.issuperset(entities):
-                    raise ValueError(f"node {node} names undeclared entities "
-                                     f"{set(entities) - declared}")
+        for node, entities in self.dfpuse.items():
+            if not declared.issuperset(entities):
+                raise ValueError(f"node {node} names undeclared entities "
+                                 f"{set(entities) - declared}")
+
+    @property
+    def separable(self) -> bool:
+        """True when the instance declares no dependence table: delta is 0, no EDG."""
+        return not self.dfpuse
 
     @property
     def entities(self) -> tuple[Entity, ...]:

@@ -417,11 +417,6 @@ def parse_program(text: str) -> Program:
 # ---------------------------------------------------------------------------
 # validation
 
-def validate_program(program: Program) -> list[Diagnostic]:
-    """Check all Program invariants; an empty list means the program is valid."""
-    return _walk(program)[0]
-
-
 def _walk(program: Program) -> tuple[list[Diagnostic], dict, dict, tuple[int, ...],
                                      frozenset[tuple[int, int]]]:
     """Diagnostics, successor and predecessor maps, reverse postorder and back edges.

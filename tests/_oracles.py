@@ -8,7 +8,8 @@ renamed live-uses analyses, a concrete path interpreter, and
 dominator-based reducibility.  The degree-of-dependence enumeration
 is the reference for the cost rule that ``edg.delta_vector``
 implements; it names EDG nodes by index and reads only ``adj`` and
-``entries``.  The CFG oracles read statements and edges from
+``entries``.  ``entry_nodes`` finds the entry nodes by the paper's
+definition, from the flow functions applied to top.  The CFG oracles read statements and edges from
 ``cfg.program``.  A reference section rebuilds the
 two-point frameworks over tuple values with explicit per-component
 writes, the form dfalab's int-mask transfers replaced.  Then come the
@@ -169,6 +170,25 @@ def enumerate_degree(edg, h_hat: int) -> int:
         if vector:
             best = max(best, max(vector.values()))
     return best
+
+
+def entry_nodes(edg, fw) -> list[int]:
+    """EDG entry nodes by the paper's definition, as ascending node indices.
+
+    A node is an entry node when no edge enters it and its statement's
+    flow function, applied to top, takes its entity off top: information
+    enters the analysis there, whatever flows in.
+    """
+    space = fw.space
+    targeted = {v for out in edg.adj for v, _ in out}
+    found = []
+    for i, inst in enumerate(edg.labels):
+        if i in targeted:
+            continue
+        value = space.components(fw.transfers[inst.stmt](space.top))
+        if value[space.index[inst.var]] != space.lattice.top:
+            found.append(i)
+    return found
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from dfalab import build_cfg, fixtures
+from dfalab import InvalidProgramError, build_cfg, fixtures
 from dfalab.ir import Program, Skip
 
 
@@ -32,6 +32,15 @@ def make_program(statements, edges, variables=("a", "b", "c"), name="tiny",
         entry = min(nodes)
     return Program(name=name, variables=tuple(variables), nodes=nodes,
                    edges=tuple(edges), entry=entry)
+
+
+def diagnostics(program):
+    """The diagnostics ``build_cfg`` raises for `program`; [] when it is valid."""
+    try:
+        build_cfg(program)
+    except InvalidProgramError as caught:
+        return caught.diagnostics
+    return []
 
 
 def chain_program(statements, variables=("a", "b", "c"), name="chain"):

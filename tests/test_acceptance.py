@@ -27,6 +27,7 @@ from dfalab.generator import GeneratorConfig, generate_corpus
 
 from _oracles import (
     check_monotonic_entity_dependence,
+    entry_nodes,
     enumerate_degree,
     enumerate_depth,
     enumerate_pair_weight,
@@ -207,6 +208,7 @@ def test_criterion_7_oracle_equivalence(corpus, small_corpus):
 
     metric_disagreements = []
     edg_disagreements = []
+    entry_disagreements = []
     small_edgs = 0
     for program in small_corpus:
         cfg = build_cfg(program)
@@ -224,6 +226,8 @@ def test_criterion_7_oracle_equivalence(corpus, small_corpus):
         pipeline = ProgramPipeline(program)
         for kind, h_hat in (("cp", 2), ("faint", 1)):
             edg = pipeline.edg(kind)
+            if edg.entries != entry_nodes(edg, pipeline.framework(kind)):
+                entry_disagreements.append((program.name, kind))
             if len(edg.nodes) > 10:
                 continue
             small_edgs += 1
@@ -231,14 +235,15 @@ def test_criterion_7_oracle_equivalence(corpus, small_corpus):
                 edg_disagreements.append((program.name, kind))
 
     ok = (not mismatches and not metric_disagreements and not edg_disagreements
-          and small_edgs >= 50)
+          and not entry_disagreements and small_edgs >= 50)
     assert announce(
         7, ok,
         f"worklist==round-robin on {CORPUS_SIZE} programs x 5 analyses "
         f"({len(mismatches)} mismatches); depth/weights vs enumeration on "
         f"{len(small_corpus)} small programs ({len(metric_disagreements)} "
         f"disagreements); delta vs enumeration on {small_edgs} EDGs "
-        f"({len(edg_disagreements)} disagreements)")
+        f"({len(edg_disagreements)} disagreements); entry nodes vs definition on "
+        f"{2 * len(small_corpus)} EDGs ({len(entry_disagreements)} disagreements)")
 
 
 def test_criterion_8_condition_ten(corpus):

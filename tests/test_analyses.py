@@ -4,6 +4,7 @@ import random
 import pytest
 
 from dfalab import (
+    ProgramPipeline,
     build_cfg,
     make_constant_propagation,
     make_framework,
@@ -42,6 +43,7 @@ from dfalab.ir import (
 from _oracles import (
     check_monotonicity,
     cp_transfer_reference,
+    entry_nodes,
     execute_all_paths,
     is_reducible,
     live_uses,
@@ -136,8 +138,10 @@ class TestCpFramework:
         fw = make_constant_propagation(fig3)
         assert fw.dfpuse[7] == frozenset({"w"})
         assert fw.dfpuse[2] == frozenset()
-        assert fw.independent_sources[1] == frozenset({"w"})
-        assert fw.independent_sources[5] == frozenset()
+        # w = 2 at node 1 reads nothing; x = y + 2 at node 5 reads y.
+        edg = ProgramPipeline(fig3).edg("cp")
+        assert [edg.labels[i] for i in edg.entries] == [Instance("w", 1)]
+        assert edg.entries == entry_nodes(edg, fw)
 
     def test_refines_concrete_execution_on_loop_free_programs(self):
         # Every constant the analysis reports must hold on every
@@ -181,7 +185,10 @@ class TestFaintVariables:
         assert fw.lattice.height == 1
         assert product_height(fw.lattice.height, len(fw.space)) == 4
         assert fw.dfpuse[5] == frozenset({"x"})
-        assert fw.independent_sources[2] == frozenset({"x"})
+        # print x at node 2 reads nothing and makes x not faint.
+        edg = ProgramPipeline(fig3).edg("faint")
+        assert [edg.labels[i] for i in edg.entries] == [Instance("x", 2)]
+        assert edg.entries == entry_nodes(edg, fw)
 
     def test_fig3_no_faint_assignment(self, fig3, fig3_cfg):
         # The print keeps the whole w->z->y->x chain strongly live, so
@@ -247,7 +254,7 @@ class TestBitVector:
         rng = random.Random(17)
         for program in programs:
             fw = make_framework(program, kind)
-            assert not any(fw.dfpuse.values())
+            assert fw.separable
             for node, f in fw.transfers.items():
                 for _ in range(4):
                     v = sample_value(fw.space, rng)

@@ -28,7 +28,7 @@ from dfalab.ir import (
     Skip,
 )
 
-from _oracles import enumerate_degree
+from _oracles import entry_nodes, enumerate_degree
 
 # Node 3 reads the b it defined on the previous trip round 3 -> 1 -> 3.
 SELFDEP = """program selfdep
@@ -152,6 +152,7 @@ def test_bounds_hold_on_generated_programs(program):
             assert record.delta == 0 and record.iterations <= 1 + record.d, record
         else:
             edg = pipeline.edg(kind)
+            assert edg.entries == entry_nodes(edg, pipeline.framework(kind)), kind
             delta1 = degree_of_dependence(edg, 1)
             target(record.iterations - 1 - record.d - delta1, label=f"I - 1 - d - delta1, {kind}")
             if len(edg.labels) <= 10:
@@ -190,6 +191,9 @@ def test_bounds_hold_on_every_three_node_program():
                 holds = record.iterations <= min(record.b1, record.b2)
                 if kind in BITVECTOR_KINDS:
                     holds = holds and record.delta == 0 and record.iterations <= 1 + record.d
+                else:
+                    edg = pipeline.edg(kind)
+                    holds = holds and edg.entries == entry_nodes(edg, pipeline.framework(kind))
                 if not holds:
                     violations.append((edges, statements, record))
             checked += 1

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -27,6 +28,7 @@ from dfalab.ir import CopyAssign, stmt_target, stmt_uses
 
 from _oracles import (
     check_monotonic_entity_dependence,
+    entry_nodes,
     enumerate_degree,
     enumerate_delta_vector,
     enumerate_pair_weight,
@@ -200,13 +202,34 @@ class TestNodesAreRenamedInstances:
     def test_labels_are_the_renamed_space(self, programs, kind):
         for program in programs:
             pipeline = ProgramPipeline(program)
-            instances = pipeline.framework(edg_module.RENAMED_KIND[kind]).space.entities
+            instances = pipeline.framework({"cp": "reach", "faint": "live"}[kind]).space.entities
             for j, stmt in program.nodes.items():
                 # cp computes the statement's target, faint its operands.
                 computed = ({stmt_target(stmt)} - {None} if kind == "cp"
                             else stmt_uses(stmt))
                 assert computed == {i.var for i in instances if i.stmt == j}, (program.name, j)
             assert pipeline.edg(kind).labels == list(instances), program.name
+
+
+class TestKindNamesAreNotRead:
+    """The EDG rule reads a framework's direction and dfpuse, not its kind."""
+
+    @pytest.fixture(scope="class")
+    def programs(self, fig3):
+        return [fig3] + [generate_program(GeneratorConfig(seed=42), i) for i in range(20)]
+
+    @pytest.mark.parametrize("kind,renamed", [("cp", "reach"), ("faint", "live")])
+    def test_a_renamed_kind_builds_the_same_edg(self, programs, kind, renamed):
+        for program in programs:
+            pipeline = ProgramPipeline(program)
+            fw = pipeline.framework(kind)
+            clone = bounds.build_edg(pipeline.cfg, dataclasses.replace(fw, kind=f"{kind}-clone"),
+                                     weights=pipeline.weights,
+                                     renamed=pipeline.solution(renamed))
+            edg = pipeline.edg(kind)
+            assert (clone.labels, clone.adj, clone.entries) == (
+                edg.labels, edg.adj, edg.entries), program.name
+            assert edg.entries == entry_nodes(edg, fw), program.name
 
 
 class TestDegreeOfDependence:

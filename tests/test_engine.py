@@ -278,7 +278,7 @@ class TestMonotonicity:
         return FrameworkInstance(
             kind="broken", direction="forward", space=space,
             transfers={1: broken},
-            dfpuse={1: frozenset()}, independent_sources={1: frozenset()})
+            dfpuse={1: frozenset()})
 
     def test_broken_transfer_detected(self):
         fw = self._broken_framework()
@@ -301,7 +301,6 @@ def test_divergence_guard_fires():
     fw = FrameworkInstance(
         kind="oscillator", direction="forward", space=space,
         transfers={1: flip, 2: flip},
-        dfpuse={1: frozenset(), 2: frozenset()},
-        independent_sources={1: frozenset(), 2: frozenset()})
+        dfpuse={1: frozenset(), 2: frozenset()})
     with pytest.raises(DivergenceError):
         round_robin_solve(fw, cfg, record_trace=False)

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from dfalab import build_cfg, serialize_program, validate_program
+from dfalab import build_cfg, serialize_program
 from dfalab.cfg_metrics import classify_back_edges
 from dfalab.generator import (
     _CUM_WEIGHTS,
@@ -17,6 +17,7 @@ from dfalab.generator import (
 from dfalab.ir import BinAssign, ConstAssign, CopyAssign, Print, ReadAssign, Skip
 
 from _oracles import dominators, is_reducible
+from conftest import diagnostics
 
 
 def test_same_config_same_program():
@@ -45,7 +46,7 @@ def test_node_budget_respected():
 def test_generated_programs_validate():
     config = GeneratorConfig(seed=3, node_budget=45)
     for program in generate_corpus(config, 60):
-        assert validate_program(program) == []
+        assert diagnostics(program) == []
 
 
 def test_variable_count_range():
@@ -85,7 +86,7 @@ def test_irreducible_probability_adds_edges():
     spiked_edges = sum(len(p.edges) for p in generate_corpus(spiked, 10))
     assert spiked_edges > base_edges
     for program in generate_corpus(spiked, 10):
-        assert validate_program(program) == []
+        assert diagnostics(program) == []
 
 
 def test_loop_depth_zero_is_acyclic():

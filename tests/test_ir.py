@@ -6,7 +6,6 @@ from dfalab import (
     build_cfg,
     parse_program,
     serialize_program,
-    validate_program,
 )
 from dfalab.generator import GeneratorConfig, generate_program
 from dfalab.ir import (
@@ -22,7 +21,7 @@ from dfalab.ir import (
     wrap64,
 )
 
-from conftest import chain_program, make_program
+from conftest import chain_program, diagnostics, make_program
 
 
 class TestParse:
@@ -150,30 +149,30 @@ class TestParse:
 
 class TestValidate:
     def test_fig3_clean(self, fig3):
-        assert validate_program(fig3) == []
+        assert diagnostics(fig3) == []
 
     def test_unreachable_node(self):
         p = make_program([Skip(), Skip(), Skip()], [(1, 2)])
         # node 3 has no incoming edge
-        diags = validate_program(p)
+        diags = diagnostics(p)
         assert [d.code for d in diags] == ["unreachable-node"]
         assert diags[0].node == 3
 
     def test_edge_to_undefined_node(self):
         p = Program(name="t", variables=("a",), nodes={1: Skip()},
                     edges=((1, 42),), entry=1)
-        diags = validate_program(p)
+        diags = diagnostics(p)
         assert any(d.code == "undefined-node-in-edge" and d.edge == (1, 42)
                    for d in diags)
 
     def test_undeclared_variable_in_constructed_program(self):
         p = chain_program([ConstAssign("zz", 1)])
-        assert any(d.code == "undeclared-variable" for d in validate_program(p))
+        assert any(d.code == "undeclared-variable" for d in diagnostics(p))
 
     def test_bad_entry(self):
         p = Program(name="t", variables=(), nodes={1: Skip()}, edges=(),
                     entry=9)
-        assert any(d.code == "undefined-entry" for d in validate_program(p))
+        assert any(d.code == "undefined-entry" for d in diagnostics(p))
 
     def test_non_integer_node_id_is_diagnosed_not_compared(self):
         # Node 1's successors and node 2's predecessors mix int and str
@@ -182,7 +181,7 @@ class TestValidate:
                     edges=((1, 2), (1, "q"), ("q", 2)), entry=1)
         expected = [Diagnostic("invalid-node-id", "node id 'q' is not a positive integer",
                                node="q")]
-        assert validate_program(p) == expected
+        assert diagnostics(p) == expected
         with pytest.raises(InvalidProgramError) as caught:
             build_cfg(p)
         assert caught.value.diagnostics == expected

@@ -28,8 +28,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "dfalab"
 KEPT = {
     "worklist_solve": "the benchmark's fixed-point check calls it, and the "
                       "tests use it as the reference solver",
-    "validate_program": "exported diagnostics API: the program's invariant "
-                        "violations without raising",
 }
 
 
