@@ -88,19 +88,10 @@ def cp_meet(a: CPValue, b: CPValue) -> CPValue:
     return a if a == b else NONCONST
 
 
-def cp_ht(value: CPValue) -> int:
-    if value is UNDEF:
-        return 0
-    if value is NONCONST:
-        return 2
-    return 1
-
-
 CP_LATTICE = ComponentLattice(
     top=UNDEF,
     bottom=NONCONST,
     meet=cp_meet,
-    ht=cp_ht,
     height=2,
 )
 
@@ -192,10 +183,7 @@ def _two_point_lattice(top: _Token, bottom: _Token) -> ComponentLattice:
     def meet(a, b):
         return a if a is b else bottom
 
-    def ht(v):
-        return 0 if v is top else 1
-
-    return ComponentLattice(top=top, bottom=bottom, meet=meet, ht=ht, height=1)
+    return ComponentLattice(top=top, bottom=bottom, meet=meet, height=1)
 
 
 FV_LATTICE = _two_point_lattice(FAINT, NOT_FAINT)

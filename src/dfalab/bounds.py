@@ -86,7 +86,6 @@ class ProgramPipeline:
     ``reach`` solution also resolves the EDG instances of a forward
     kind (``cp``), the ``live`` solution those of a backward one
     (``faint``).  A separable framework gets delta 0 and no EDG.
-    Solves record no trace.
     """
 
     def __init__(self, program: Program):
@@ -109,8 +108,7 @@ class ProgramPipeline:
 
     def solution(self, kind: str) -> SolveResult:
         if kind not in self._solutions:
-            self._solutions[kind] = round_robin_solve(
-                self.framework(kind), self.cfg, record_trace=False)
+            self._solutions[kind] = round_robin_solve(self.framework(kind), self.cfg)
         return self._solutions[kind]
 
     def edg(self, kind: str) -> EntityDependenceGraph:

@@ -11,12 +11,17 @@ pass in depth-first order crosses only the counted back edges against
 the visit order (Kam & Ullman 1976).
 
 The depth d is the maximum number of back edges on any node-simple
-path; the weight of a statement pair asks the same question for paths
-between the two.  Both are exact backtracking searches over the
-indices of ``cfg.nodes`` with int-bitmask node sets, reached through
-a ``WeightTable``: its ``depth`` and ``weight`` run ``depth`` and
-``max_backedge_acyclic_weight`` on its per-CFG facts and keep their
-results.  The depth search prunes with a free-head bound: a
+path or simple cycle (a path whose last node may be its first).  A
+longer simple cycle has an edge that is not a back edge, and dropping
+it leaves a path with the same count, so only a self-loop adds: d is
+at least 1 on a CFG with one.  Round robin reads a self-loop's value
+back into its node only on the next pass, so the pass bounds need it
+counted.  The weight of a statement pair asks the same question for
+the node-simple paths between the two.  Both are exact backtracking
+searches over the indices of ``cfg.nodes`` with int-bitmask node sets,
+reached through a ``WeightTable``: its ``depth`` and ``weight`` run
+``depth`` and ``max_backedge_acyclic_weight`` on its per-CFG facts and
+keep their results.  The depth search prunes with a free-head bound: a
 node-simple path enters each head at most once, so from node x it can
 gain at most one back edge per unvisited head h of a back edge (l, h)
 whose tail l x reaches without passing h.  Those "behind" sets are
@@ -88,13 +93,14 @@ def _closure(neighbours: list[list[int]], order: list[int]) -> list[int]:
 
 
 def depth(table: WeightTable) -> int:
-    """Maximum number of back edges on any node-simple path of ``table.cfg``."""
+    """Maximum number of back edges on a node-simple path or simple cycle of ``table.cfg``."""
     _check_node_cap(table.cfg)
     succ = table.succ
     heads = table.heads_ahead
     cap = DEFAULT_STEP_CAP
     steps = 0
-    best = 0
+    # A self-loop is a one-node cycle with one back edge.
+    best = int(any(tail == head for tail, head in table.back_pairs))
 
     def extend(node: int, free: int, weight: int) -> None:
         nonlocal best, steps

@@ -67,11 +67,6 @@ def _load_programs(paths: list[Path], errors: list[str]) -> Iterator[ProgramPipe
         except InvalidProgramError as exc:
             errors.extend(f"{path}: {d}" for d in exc.diagnostics)
             continue
-        # A self-loop lies on no node-simple path, so d does not see
-        # the extra passes it can cost.
-        for node in sorted({src for src, dst in program.edges if src == dst}):
-            print(f"dfalab: warning: {path}: node {node} has a self-loop; "
-                  "the pass bounds do not cover it", file=sys.stderr)
         yield pipeline
 
 

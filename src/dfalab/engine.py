@@ -16,7 +16,7 @@ Two solvers are provided:
   quantity that the iteration bounds predict.  After the first pass
   it skips a node whose merged input equals the one it saw on its
   last visit: the transfer would return what it returned then, so the
-  values, pass count and trace are those of visiting every node.
+  values and pass count are those of visiting every node.
 * ``worklist_solve`` is an independent fixed-point oracle; it must
   reach the same solution but its effort is reported as node visits.
 
@@ -53,16 +53,15 @@ Value = Any  # a tuple in EntitySpace.entities order, or a MaskSpace int
 
 @dataclass(frozen=True)
 class ComponentLattice:
-    """One entity's value lattice: top, bottom, meet, and element heights.
+    """One entity's value lattice: top, bottom, meet, and its height.
 
-    ``ht(v)`` is the length of the longest descending chain from top
-    to v, so ht(top) = 0 and ht(bottom) = height.
+    ``height`` is the length of the longest descending chain from top
+    to bottom.
     """
 
     top: Any
     bottom: Any
     meet: Callable[[Any, Any], Any]
-    ht: Callable[[Any], int]
     height: int
 
 
@@ -161,18 +160,6 @@ class FrameworkInstance:
 
 
 @dataclass(frozen=True)
-class TraceRecord:
-    """One computed-value change: where, what, and the operand values read."""
-
-    pass_no: int
-    node: int
-    entity: Entity
-    old: Any
-    new: Any
-    operands: tuple[tuple[Entity, Any], ...]
-
-
-@dataclass(frozen=True)
 class SolveResult:
     """A fixed point: IN/OUT values per node, decoded through ``space``."""
 
@@ -181,7 +168,8 @@ class SolveResult:
     out_values: dict[int, Value]
     iterations: int
     passes_executed: int
-    trace: tuple[TraceRecord, ...]
+    # Always empty: the benchmark's tracer still counts it (ROADMAP item 0).
+    trace: tuple = ()
 
 
 class DivergenceError(RuntimeError):
@@ -219,8 +207,7 @@ def _direction_view(fw: FrameworkInstance, cfg: ControlFlowGraph) -> _DirectionV
     return _DirectionView(False, order, cfg.successors, cfg.predecessors)
 
 
-def round_robin_solve(fw: FrameworkInstance, cfg: ControlFlowGraph, *,
-                      record_trace: bool = True) -> SolveResult:
+def round_robin_solve(fw: FrameworkInstance, cfg: ControlFlowGraph) -> SolveResult:
     """Round-robin iteration to the maximal fixed point, counting passes.
 
     Nodes are visited in ``traversal_order``: DFS reverse postorder for
@@ -234,7 +221,6 @@ def round_robin_solve(fw: FrameworkInstance, cfg: ControlFlowGraph, *,
     top = space.top
     before: dict[int, Value] = dict.fromkeys(cfg.nodes, top)
     after: dict[int, Value] = dict.fromkeys(cfg.nodes, top)
-    trace: list[TraceRecord] = []
     budget = _pass_budget(fw, cfg)
     visits = [(node, len(view.inputs[node]), view.inputs[node], fw.transfers[node])
               for node in view.order]
@@ -267,19 +253,15 @@ def round_robin_solve(fw: FrameworkInstance, cfg: ControlFlowGraph, *,
             elif skip:
                 continue
             new = transfer(merged)
-            old = after[node]
-            if new != old:
+            if new != after[node]:
                 changed = True
-                if record_trace:
-                    _record_changes(trace, passes, node, fw, old, new, merged)
                 after[node] = new
         if not changed:
             break
 
     in_vals, out_vals = view.in_out(before, after)
     return SolveResult(space=fw.space, in_values=in_vals, out_values=out_vals,
-                       iterations=max(1, passes - 1), passes_executed=passes,
-                       trace=tuple(trace))
+                       iterations=max(1, passes - 1), passes_executed=passes)
 
 
 def _merge(space: EntitySpace, inputs: tuple[int, ...],
@@ -287,20 +269,6 @@ def _merge(space: EntitySpace, inputs: tuple[int, ...],
     if not inputs:
         return space.top
     return reduce(space.meet, map(after.__getitem__, inputs))
-
-
-def _record_changes(trace: list[TraceRecord], pass_no: int, node: int,
-                    fw: FrameworkInstance, old: Value,
-                    new: Value, inputs: Value) -> None:
-    space = fw.space
-    inputs = space.components(inputs)
-    uses = fw.dfpuse.get(node, frozenset())
-    operands = tuple(sorted(((u, inputs[space.index[u]]) for u in uses),
-                            key=lambda item: str(item[0])))
-    for entity, was, now in zip(space.entities, space.components(old),
-                                space.components(new)):
-        if was != now:
-            trace.append(TraceRecord(pass_no, node, entity, was, now, operands))
 
 
 def worklist_solve(fw: FrameworkInstance, cfg: ControlFlowGraph) -> SolveResult:
@@ -338,5 +306,5 @@ def worklist_solve(fw: FrameworkInstance, cfg: ControlFlowGraph) -> SolveResult:
 
     in_vals, out_vals = view.in_out(before, after)
     return SolveResult(space=fw.space, in_values=in_vals, out_values=out_vals,
-                       iterations=max(1, visits), passes_executed=0, trace=())
+                       iterations=max(1, visits), passes_executed=0)
 

@@ -14,16 +14,21 @@ definition, from the flow functions applied to top.  The CFG oracles read statem
 two-point frameworks over tuple values with explicit per-component
 writes, the form dfalab's int-mask transfers replaced.  Then come the
 per-call constant-propagation evaluator that ``cp_transfer`` compiles,
-and a round robin that visits every node on every pass.  The last
-section holds the two monotonicity checkers that only the tests run:
-transfer monotonicity on sampled values and condition 10 on solve
-traces.
+and a round robin that visits every node on every pass.  That round
+robin is the one solver that records a trace: a ``TraceRecord`` per
+entity whose computed value changes.  The last section holds the two
+monotonicity checkers: transfer monotonicity on sampled values, and
+condition 10 on those traces, with element heights from ``ht``.
+
+``bench/checks.py`` loads this file by path for ``enumerate_depth``,
+so it imports nothing from the tests.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import random
+from typing import Any, NamedTuple
 
 from dfalab.analyses import (
     CP_LATTICE,
@@ -35,7 +40,7 @@ from dfalab.analyses import (
     program_expressions,
 )
 from dfalab.cfg_metrics import FORWARD, traversal_order
-from dfalab.engine import EntitySpace, MaskSpace, TraceRecord
+from dfalab.engine import EntitySpace, MaskSpace
 from dfalab.ir import (
     ASSIGNMENTS,
     BinAssign,
@@ -82,22 +87,28 @@ def enumerate_pair_weight(cfg: ControlFlowGraph,
 
 def enumerate_depth(cfg: ControlFlowGraph,
                     back_edges: frozenset[tuple[int, int]]) -> int:
-    """Max back-edge count over all simple paths anywhere in the graph."""
+    """Max back-edge count over all simple paths and simple cycles in the graph.
+
+    A walk from ``start`` that steps back onto ``start`` closes a
+    simple cycle, and that last edge counts.
+    """
     best = 0
 
-    def walk(node: int, visited: set[int], weight: int) -> None:
+    def walk(start: int, node: int, visited: set[int], weight: int) -> None:
         nonlocal best
         if weight > best:
             best = weight
         for nxt in cfg.successors[node]:
-            if nxt in visited:
-                continue
-            visited.add(nxt)
-            walk(nxt, visited, weight + (1 if (node, nxt) in back_edges else 0))
-            visited.discard(nxt)
+            step = weight + (1 if (node, nxt) in back_edges else 0)
+            if nxt == start:
+                best = max(best, step)
+            elif nxt not in visited:
+                visited.add(nxt)
+                walk(start, nxt, visited, step)
+                visited.discard(nxt)
 
     for start in cfg.nodes:
-        walk(start, {start}, 0)
+        walk(start, start, {start}, 0)
     return best
 
 
@@ -498,12 +509,26 @@ def cp_transfer_reference(stmt, value: tuple, index) -> tuple:
     return value[:i] + (result,) + value[i + 1:]
 
 
+class TraceRecord(NamedTuple):
+    """One computed-value change: where, what, and the operand values read.
+
+    Values are lattice elements, masks decoded.
+    """
+
+    pass_no: int
+    node: int
+    entity: Any
+    old: Any
+    new: Any
+    operands: tuple[tuple[Any, Any], ...]
+
+
 def plain_round_robin(fw, cfg: ControlFlowGraph):
     """Round robin that runs every transfer on every pass, traced.
 
-    Returns (IN, OUT, iterations, passes, trace) for comparison with
-    ``engine.round_robin_solve``, which skips visits whose input did
-    not change.
+    Returns (IN, OUT, iterations, passes, trace).  The first four are
+    compared with ``engine.round_robin_solve``, which skips visits
+    whose input did not change; the trace feeds the condition-10 check.
     """
     space = fw.space
     forward = fw.direction == FORWARD
@@ -583,6 +608,17 @@ def check_monotonicity(fw, sample_count: int, seed: int) -> bool:
     return True
 
 
+def ht(lattice, value) -> int:
+    """Length of the longest descending chain from top to `value`.
+
+    0 at top and ``height`` at bottom; every other element of a
+    shipped lattice (a ``cp`` constant) lies at 1.
+    """
+    if value == lattice.top:
+        return 0
+    return lattice.height if value == lattice.bottom else 1
+
+
 def check_monotonic_entity_dependence(edg, trace, lattice) -> bool:
     """Verify ht(new value) >= ht(operand value) on every EDG-edge transition.
 
@@ -598,8 +634,8 @@ def check_monotonic_entity_dependence(edg, trace, lattice) -> bool:
         sources = influences.get((record.entity, record.node))
         if not sources:
             continue
-        new_ht = lattice.ht(record.new)
+        new_ht = ht(lattice, record.new)
         for operand, value in record.operands:
-            if operand in sources and new_ht < lattice.ht(value):
+            if operand in sources and new_ht < ht(lattice, value):
                 return False
     return True

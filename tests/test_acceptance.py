@@ -17,7 +17,6 @@ from dfalab import (
     degree_of_dependence,
     delta_vector,
     emit_report,
-    round_robin_solve,
     worklist_solve,
 )
 from dfalab.analyses import Instance
@@ -31,6 +30,7 @@ from _oracles import (
     enumerate_degree,
     enumerate_depth,
     enumerate_pair_weight,
+    plain_round_robin,
 )
 
 CORPUS_CONFIG = GeneratorConfig(seed=42, node_budget=60, variable_count=(4, 8))
@@ -67,9 +67,9 @@ def corpus():
             records[kind].append(pipeline.record(kind))
         bounds_seconds += time.perf_counter() - t0
         for kind in NONSEPARABLE:
-            # The pipeline solves untraced; condition 10 needs the trace.
+            # Condition 10 reads the trace of the oracle's round robin.
             fw = pipeline.framework(kind)
-            trace = round_robin_solve(fw, pipeline.cfg).trace
+            trace = plain_round_robin(fw, pipeline.cfg)[4]
             trace_records[kind] += len(trace)
             if not check_monotonic_entity_dependence(
                     pipeline.edg(kind), trace, fw.lattice):

@@ -114,8 +114,9 @@ def test_node_cap_guards_large_graphs():
      {(4, 3), (5, 3), (6, 2)}, 1),
     ([(1, 2), (2, 3), (3, 4), (4, 3), (4, 5), (5, 3), (3, 6), (6, 2), (6, 7)],
      {(4, 3), (5, 3), (6, 2)}, 2),
+    ([(1, 2), (2, 2), (2, 3)], {(2, 2)}, 1),
 ], ids=["two-into-one-head", "three-into-one-head", "nested-sharing-a-head",
-        "nested-sharing-the-inner-head", "two-into-the-inner-head-of-two"])
+        "nested-sharing-the-inner-head", "two-into-the-inner-head-of-two", "a-self-loop"])
 def test_depth_counts_each_head_once(edges, back_edges, expected):
     # A node-simple path enters a head once, so back edges sharing a
     # head add at most one to its weight.

@@ -4,6 +4,7 @@ from collections import Counter
 import pytest
 
 from dfalab import (
+    ANALYSIS_KINDS,
     GeneratorConfig,
     SearchBudgetExceeded,
     bounds,
@@ -17,7 +18,7 @@ from dfalab import (
     serialize_program,
 )
 from dfalab.bounds import CSV_HEADER
-from dfalab.cli import EXIT_BOUND_VIOLATION, EXIT_OK, EXIT_USAGE, main
+from dfalab.cli import EXIT_OK, EXIT_USAGE, main
 
 SELF_LOOP = """program loop
 vars x
@@ -141,18 +142,21 @@ class TestReport:
         assert captured.err == f"dfalab: fig3 faint: {message}\n"
 
     @pytest.mark.parametrize("command", ["report", "corpus"])
-    def test_self_loop_warns(self, tmp_path, capsys, command):
+    def test_self_loop_bounds_hold(self, tmp_path, capsys, command):
+        # d counts the self-loop's back edge, so both bounds cover it.
         (tmp_path / "loop.prog").write_text(SELF_LOOP, encoding="utf-8")
         target = tmp_path / "loop.prog" if command == "report" else tmp_path
-        code = main([command, str(target), "--analysis", "cp",
-                     "--out", str(tmp_path / "out")])
-        assert code == EXIT_BOUND_VIOLATION
-        assert capsys.readouterr().err == (
-            f"dfalab: warning: {tmp_path / 'loop.prog'}: node 2 has a self-loop; "
-            "the pass bounds do not cover it\n")
+        out = tmp_path / "out"
+        kinds = [arg for kind in ANALYSIS_KINDS for arg in ("--analysis", kind)]
+        code = main([command, str(target), *kinds, "--out", str(out)])
+        assert code == EXIT_OK
+        assert capsys.readouterr().err == ""
+        report = out if command == "report" else out / "report.csv"
+        records = rows(report.read_text(encoding="utf-8"))
+        assert [(r["analysis"], r["d"], r["violated"]) for r in records] == [
+            (kind, "1", "false") for kind in ANALYSIS_KINDS]
 
     def test_invalid_program_lists_its_diagnostics(self, tmp_path, fig3_file, capsys):
-        # Diagnostics replace the self-loop warning of an invalid program.
         bad = tmp_path / "bad.prog"
         bad.write_text(SELF_LOOP + "node 4  skip\nedge 4 -> 9\n", encoding="utf-8")
         code = main(["report", str(bad), str(fig3_file), "--analysis", "cp"])

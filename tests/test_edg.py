@@ -8,7 +8,6 @@ from dfalab import (
     degree_of_dependence,
     delta_vector,
     make_constant_propagation,
-    round_robin_solve,
 )
 from dfalab import bounds
 from dfalab import edg as edg_module
@@ -22,16 +21,17 @@ from dfalab.analyses import (
 from dfalab.bounds import ProgramPipeline
 from dfalab.cfg_metrics import WeightTable
 from dfalab.edg import EntityDependenceGraph
-from dfalab.engine import TraceRecord
 from dfalab.generator import GeneratorConfig, generate_program
 from dfalab.ir import CopyAssign, stmt_target, stmt_uses
 
 from _oracles import (
+    TraceRecord,
     check_monotonic_entity_dependence,
     entry_nodes,
     enumerate_degree,
     enumerate_delta_vector,
     enumerate_pair_weight,
+    plain_round_robin,
 )
 from conftest import chain_program
 
@@ -393,8 +393,8 @@ class TestConditionTen:
         for make, edg in ((make_constant_propagation, cp_edg),
                           (make_faint_variables, fv_edg)):
             fw = make(fig3)
-            result = round_robin_solve(fw, fig3_cfg)
-            assert check_monotonic_entity_dependence(edg, result.trace, fw.lattice)
+            trace = plain_round_robin(fw, fig3_cfg)[4]
+            assert check_monotonic_entity_dependence(edg, trace, fw.lattice)
 
     def test_synthetic_violation_detected(self, cp_edg):
         # A nonconst operand producing a constant drops in height.

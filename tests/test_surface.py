@@ -28,6 +28,8 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "dfalab"
 KEPT = {
     "worklist_solve": "the benchmark's fixed-point check calls it, and the "
                       "tests use it as the reference solver",
+    "components": "the README's library use and the test oracles decode values "
+                  "with it, without knowing the mask format",
 }
 
 
@@ -103,8 +105,6 @@ def test_every_import_is_used():
 # each default stays.
 DEFAULTS_KEPT = {
     "main(argv)": "the command-line entry point, where None means sys.argv",
-    "round_robin_solve(record_trace)": "the benchmark's fixed-point check and the "
-                                       "tests solve traced by default",
     "make_framework(cfg)": "the benchmark's checks pass it",
 }
 
