@@ -206,7 +206,7 @@ def make_faint_variables(program: Program) -> FrameworkInstance:
     for node, stmt in program.nodes.items():
         if isinstance(stmt, ASSIGNMENTS):
             u = 0
-            _, uses, _, _ = facts[node]
+            _, uses, _ = facts[node]
             for var in uses:
                 u |= bit[var]
             t = bit[stmt.target]
@@ -247,20 +247,20 @@ class Instance(NamedTuple):
 
 def program_definitions(program: Program) -> tuple[Instance, ...]:
     return tuple(Instance(target, node)
-                 for node, (target, _, _, _) in sorted(program.facts.items())
+                 for node, (target, _, _) in sorted(program.facts.items())
                  if target is not None)
 
 
 def program_uses(program: Program) -> tuple[Instance, ...]:
     return tuple(Instance(var, node)
-                 for node, (_, _, names, _) in sorted(program.facts.items())
-                 for var in names)
+                 for node, (_, uses, _) in sorted(program.facts.items())
+                 for var in sorted(uses))
 
 
 def program_expressions(program: Program) -> tuple[tuple[str, frozenset[str]], ...]:
     """Distinct tracked expressions with their operand variables."""
     seen: dict[str, frozenset[str]] = {}
-    for _, (_, uses, _, key) in sorted(program.facts.items()):
+    for _, (_, uses, key) in sorted(program.facts.items()):
         if key is not None and key not in seen:
             seen[key] = uses
     return tuple(seen.items())
@@ -317,7 +317,7 @@ def make_bitvector_framework(program: Program, kind: str) -> FrameworkInstance:
             own_mask[stmt] = own_mask.get(stmt, 0) | 1 << i
 
     transfers: dict[int, Callable[[Value], Value]] = {}
-    for node, (target, _, _, key) in program.facts.items():
+    for node, (target, _, key) in program.facts.items():
         killed = var_mask.get(target, 0)
         if kind == AVAIL_KIND:
             keep = ~(killed | own_mask.get(key, 0))

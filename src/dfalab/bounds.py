@@ -1,7 +1,8 @@
 """Predicted iteration bounds, measured iterations, and report emission.
 
-Two predictions are compared against the measured round-robin pass
-count I:
+A ``BoundsRecord`` holds what one analysis of one program measured or
+computed, and defines from it the two predictions of the measured
+round-robin pass count I:
 
 * B1 = 1 + d*H, from depth and the product-lattice height alone;
 * B2 = 1 + delta + d, which also charges the entity dependences.
@@ -16,12 +17,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 
 from .analyses import LIVE_KIND, REACH_KIND, make_framework
 from .cfg_metrics import FORWARD, WeightTable
 from .edg import EntityDependenceGraph, build_edg, degree_of_dependence
-from .engine import FrameworkInstance, SolveResult, product_height, round_robin_solve
+from .engine import FrameworkInstance, SolveResult, round_robin_solve
 from .ir import Program, build_cfg
 
 # Report columns in order, each with the BoundsRecord attribute it shows.
@@ -34,36 +34,46 @@ _COLUMNS = (
 CSV_HEADER = ",".join(column for column, _ in _COLUMNS)
 
 
-def simplistic_bound(d: int, H: int) -> int:
-    """Height-based prediction: one pass plus d passes per possible change."""
-    if d < 0 or H < 0:
-        raise ValueError("d and H must be non-negative")
-    return 1 + d * H
-
-
-def edg_bound(d: int, delta: int) -> int:
-    """Dependence-based prediction: 1 + delta + d."""
-    if d < 0 or delta < 0:
-        raise ValueError("d and delta must be non-negative")
-    return 1 + delta + d
-
-
 @dataclass(frozen=True)
 class BoundsRecord:
+    """One analysis of one program: what was measured, and the bounds.
+
+    ``H`` is the product-lattice height, ``h_hat`` for each of ``vars``
+    entities; ``dev1`` and ``dev2`` are B1 - I and B2 - I.
+    """
+
     program: str
     analysis: str
     nodes: int
     vars: int
     d: int
     h_hat: int
-    H: int
     delta: int
-    b1: int
-    b2: int
     iterations: int
-    dev1: int
-    dev2: int
-    bound_violated: bool
+
+    @property
+    def H(self) -> int:
+        return self.h_hat * self.vars
+
+    @property
+    def b1(self) -> int:
+        return 1 + self.d * self.H
+
+    @property
+    def b2(self) -> int:
+        return 1 + self.delta + self.d
+
+    @property
+    def dev1(self) -> int:
+        return self.b1 - self.iterations
+
+    @property
+    def dev2(self) -> int:
+        return self.b2 - self.iterations
+
+    @property
+    def bound_violated(self) -> bool:
+        return self.dev1 < 0 or self.dev2 < 0
 
     @property
     def acyclic(self) -> bool:
@@ -97,7 +107,7 @@ class ProgramPipeline:
         self._edgs: dict[str, EntityDependenceGraph] = {}
         self._deltas: dict[str, int] = {}
 
-    @cached_property
+    @property
     def depth(self) -> int:
         return self.weights.depth
 
@@ -129,20 +139,10 @@ class ProgramPipeline:
 
     def record(self, kind: str) -> BoundsRecord:
         fw = self.framework(kind)
-        xi = len(fw.entities)
-        h_hat = fw.lattice.height
-        big_h = product_height(h_hat, xi)
-        d = self.depth
-        delta = self.delta(kind)
-        iterations = self.solution(kind).iterations
-        b1 = simplistic_bound(d, big_h)
-        b2 = edg_bound(d, delta)
         return BoundsRecord(
-            program=self.program.name, analysis=kind,
-            nodes=len(self.cfg.nodes), vars=xi, d=d, h_hat=h_hat, H=big_h,
-            delta=delta, b1=b1, b2=b2, iterations=iterations,
-            dev1=b1 - iterations, dev2=b2 - iterations,
-            bound_violated=iterations > b2 or iterations > b1)
+            program=self.program.name, analysis=kind, nodes=len(self.cfg.nodes),
+            vars=len(fw.entities), d=self.depth, h_hat=fw.lattice.height,
+            delta=self.delta(kind), iterations=self.solution(kind).iterations)
 
 
 def emit_report(records: list[BoundsRecord], format: str) -> bytes:

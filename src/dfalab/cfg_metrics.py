@@ -241,14 +241,12 @@ class WeightTable:
         back_edges = classify_back_edges(cfg)
         self.index = index = {node: i for i, node in enumerate(cfg.nodes)}
         self.succ: list[list[tuple[int, int, int]]] = [[] for _ in cfg.nodes]
-        # Plain successor and predecessor indices, for the closures.
-        self._succs: list[list[int]] = [[] for _ in cfg.nodes]
+        # Plain predecessor indices, for the closures and ``behind``.
         self._preds: list[list[int]] = [[] for _ in cfg.nodes]
         for i, node in enumerate(cfg.nodes):
             for dst in cfg.successors[node]:
                 j = index[dst]
                 self.succ[i].append((j, 1 << j, int((node, dst) in back_edges)))
-                self._succs[i].append(j)
                 self._preds[j].append(i)
         self.back_pairs = sorted((index[src], index[dst]) for src, dst in back_edges)
         self._cache: dict[tuple[int, int], int | None] = {}
@@ -260,7 +258,8 @@ class WeightTable:
         """Reach and co-reach masks of every node, each from one fixpoint."""
         # Every node is on the DFS; (reverse) postorder sweeps settle fast.
         rpo = [self.index[node] for node in self.cfg.order]
-        return _closure(self._succs, rpo[::-1]), _closure(self._preds, rpo)
+        succs = [[j for j, _, _ in out] for out in self.succ]
+        return _closure(succs, rpo[::-1]), _closure(self._preds, rpo)
 
     @cached_property
     def behind(self) -> list[int]:

@@ -42,11 +42,14 @@ longest-path sweep over the condensation, seeded at every entry node.
 Only the heaviest cycle of a structure is charged, which is sound
 under monotonic entity dependence (condition 10; the test suite checks
 it on solve traces).  That rule is one flag, whether a structure has
-taken its cycle: the component search walks with it, and the sweep
-keeps two arrays, one per flag value.  The search reads the
-adjacency as built, with node sets as int bitmasks.  The search for
-one EDG may take ``DEFAULT_DELTA_STEP_CAP`` (one million) steps per
-entry node, pooled over the sweep.
+taken its cycle: the sweep keeps two arrays, one per flag value, and
+each component search walks with the flag and writes its costs from
+the entry nodes straight into them.  A structure that charged a cycle
+reaches only nodes that the same path without the cycle reaches, so a
+node with a charged value always has an uncharged one.  The search
+reads the adjacency as built, with node sets as int bitmasks.  The
+search for one EDG may take ``DEFAULT_DELTA_STEP_CAP`` (one million)
+steps per entry node, pooled over the sweep.
 """
 
 from __future__ import annotations
@@ -233,85 +236,18 @@ def _tarjan_sccs(adj: list[list[tuple[int, int]]], roots: Iterable[int]) -> list
     return sccs
 
 
-def _scan_component(adj: dict[int, list[tuple[int, int, int]]], h_hat: int,
-                    entry: int, steps: int) -> tuple[tuple[dict[int, int], dict[int, int]],
-                                                     dict[int, int], int]:
-    """Exhaustive structure search inside one strongly connected component.
-
-    ``adj[u]`` lists u's edges inside the component as ``(v, weight,
-    1 << v)``; node sets are int masks.  One walk carries one flag,
-    ``taken``: whether its structure has charged its cycle.  Returns
-    ``best``, ``absorbed`` and the steps left of `steps`, the budget
-    pooled with the sweep's other scans.
-    ``best[taken][v]``: best value of a structure entry->v that has
-    charged no cycle (``taken`` false) or exactly one anchored cycle.
-    ``absorbed[v]``: best value of a structure whose final element is
-    a cycle containing v.
-    """
-    best: tuple[dict[int, int], dict[int, int]] = ({}, {})
-    ending: dict[int, int] = {}  # cycle members mask -> best final value
-
-    def walk(node: int, visited: int, value: int, taken: bool) -> None:
-        nonlocal steps
-        steps -= 1
-        if steps < 0:
-            raise SearchBudgetExceeded(_DELTA_BUDGET_MESSAGE)
-        reached = best[taken]
-        if value > reached.get(node, -1):
-            reached[node] = value
-        for nxt, w, bit in adj[node]:
-            if not visited & bit:
-                walk(nxt, visited | bit, value + w, taken)
-        if taken:
-            return
-        # Cycles in one structure are pairwise node-disjoint, and only
-        # the heaviest is charged, so one cycle per structure suffices.
-        for interior, cycle_weight in cycles_at(node, visited):
-            gained = value + h_hat * cycle_weight
-            members = interior | 1 << node
-            if gained > ending.get(members, -1):
-                ending[members] = gained
-            walk(node, visited | interior, gained, True)
-
-    def cycles_at(anchor: int, banned: int) -> list[tuple[int, int]]:
-        found: list[tuple[int, int]] = []
-
-        def extend(node: int, interior: int, weight: int) -> None:
-            nonlocal steps
-            steps -= 1
-            if steps < 0:
-                raise SearchBudgetExceeded(_DELTA_BUDGET_MESSAGE)
-            blocked = banned | interior
-            for nxt, w, bit in adj[node]:
-                if nxt == anchor:
-                    found.append((interior, weight + w))
-                elif not blocked & bit:
-                    extend(nxt, interior | bit, weight + w)
-
-        extend(anchor, 0, 0)
-        return found
-
-    walk(entry, 1 << entry, 0, False)
-    absorbed: dict[int, int] = {}
-    for members, value in ending.items():
-        while members:
-            bit = members & -members
-            members ^= bit
-            member = bit.bit_length() - 1
-            if value > absorbed.get(member, -1):
-                absorbed[member] = value
-    return best, absorbed, steps
-
-
 def delta_vector(edg: EntityDependenceGraph, starts: list[int], h_hat: int) -> dict[int, int]:
     """Best propagation cost from any of the nodes `starts` to every reachable node.
 
-    Condenses the EDG into SCCs, runs the exhaustive structure search
-    inside each component, and sweeps the condensation in topological
-    order with every origin seeded at 0.  The sweep is max-plus linear
-    in its seeds, so the result is the pointwise maximum of the
-    single-origin vectors.  At most one cycle is ever charged, so the
-    sweep needs one flag and two arrays, one per flag value.
+    Condenses the EDG into SCCs and sweeps the condensation in
+    topological order with every origin seeded at 0.  Inside a
+    component, one exhaustive structure search (a scan) runs from each
+    node that a structure enters, and writes its costs from the origins
+    straight into the sweep's two arrays, one per flag value, and into
+    the result.  A node entered with a cycle charged is also entered
+    without one, so the scans run from the nodes entered uncharged.
+    The sweep is max-plus linear in its seeds, so the result is the
+    pointwise maximum of the single-origin vectors.
 
     The sweep may take ``DEFAULT_DELTA_STEP_CAP`` steps per origin,
     pooled.  It runs each component scan once where separate
@@ -324,11 +260,85 @@ def delta_vector(edg: EntityDependenceGraph, starts: list[int], h_hat: int) -> d
     steps = DEFAULT_DELTA_STEP_CAP * len(starts)
     # The best value arriving at each node with no cycle charged yet
     # (in0) and with one (in1); -1 for none, as weights are not negative.
+    # A structure that charged a cycle reaches only nodes that the same
+    # path without the cycle also reaches, so in1[v] >= 0 implies
+    # in0[v] >= 0: a node entered at all is entered uncharged.
     in0 = [-1] * len(adj)
     in1 = [-1] * len(adj)
     for start in starts:
         in0[start] = 0
     result: dict[int, int] = {}
+
+    def scan(inner: dict[int, list[tuple[int, int, int]]], entry: int,
+             base0: int, base1: int) -> None:
+        """Exhaustive structure search inside one component, from `entry`.
+
+        ``inner[u]`` lists u's edges inside the component as ``(v,
+        weight, 1 << v)``; node sets are int masks.  A walk carries its
+        structure's cost from the origins, starting at `base0`, and one
+        flag, ``taken``: whether it has charged its cycle.  It raises
+        ``in1`` where taken and ``in0`` where not.
+        """
+        ending: dict[int, int] = {}  # cycle members mask -> best final value
+        lift = base1 - base0
+
+        def walk(node: int, visited: int, value: int, taken: bool) -> None:
+            nonlocal steps
+            steps -= 1
+            if steps < 0:
+                raise SearchBudgetExceeded(_DELTA_BUDGET_MESSAGE)
+            if taken:
+                if value > in1[node]:
+                    in1[node] = value
+            else:
+                if value > in0[node]:
+                    in0[node] = value
+                # The same path serves the structures that entered with
+                # their cycle charged (base1), which take no other.
+                if base1 >= 0 and value + lift > in1[node]:
+                    in1[node] = value + lift
+            for nxt, w, bit in inner[node]:
+                if not visited & bit:
+                    walk(nxt, visited | bit, value + w, taken)
+            if taken:
+                return
+            # Cycles in one structure are pairwise node-disjoint, and only
+            # the heaviest is charged, so one cycle per structure suffices.
+            for interior, cycle_weight in cycles_at(node, visited):
+                gained = value + h_hat * cycle_weight
+                members = interior | 1 << node
+                if gained > ending.get(members, -1):
+                    ending[members] = gained
+                walk(node, visited | interior, gained, True)
+
+        def cycles_at(anchor: int, banned: int) -> list[tuple[int, int]]:
+            found: list[tuple[int, int]] = []
+
+            def extend(node: int, interior: int, weight: int) -> None:
+                nonlocal steps
+                steps -= 1
+                if steps < 0:
+                    raise SearchBudgetExceeded(_DELTA_BUDGET_MESSAGE)
+                blocked = banned | interior
+                for nxt, w, bit in inner[node]:
+                    if nxt == anchor:
+                        found.append((interior, weight + w))
+                    elif not blocked & bit:
+                        extend(nxt, interior | bit, weight + w)
+
+            extend(anchor, 0, 0)
+            return found
+
+        walk(entry, 1 << entry, base0, False)
+        # A structure whose final element is a cycle reaches every
+        # member of that cycle at no further cost.
+        for members, value in ending.items():
+            while members:
+                bit = members & -members
+                members ^= bit
+                member = bit.bit_length() - 1
+                if value > result.get(member, -1):
+                    result[member] = value
 
     # Tarjan emits components in reverse topological order.
     for comp in reversed(_tarjan_sccs(adj, starts)):
@@ -341,34 +351,18 @@ def delta_vector(edg: EntityDependenceGraph, starts: list[int], h_hat: int) -> d
             inner = {v: [(x, w, 1 << x) for x, w in adj[v] if members >> x & 1]
                      for v in comp}
             # Every scan starts from the values that entered the
-            # component, before any scan of it wrote back.  A scan
-            # reaches its own entry at 0, so writing back with max
-            # keeps those values.
+            # component, before any scan of it wrote.
             for u, base0, base1 in [(u, in0[u], in1[u]) for u in comp]:
-                if base0 < 0 and base1 < 0:
-                    continue
-                (end0, end1), absorbed, steps = _scan_component(inner, h_hat, u, steps)
-                for v, val in end0.items():
-                    if base0 >= 0 and base0 + val > in0[v]:
-                        in0[v] = base0 + val
-                    if base1 >= 0 and base1 + val > in1[v]:
-                        in1[v] = base1 + val
                 if base0 >= 0:
-                    # Only the heaviest cycle is charged, so a structure
-                    # that already took one gains nothing from another.
-                    for v, val in end1.items():
-                        if base0 + val > in1[v]:
-                            in1[v] = base0 + val
-                    for v, val in absorbed.items():
-                        if base0 + val > result.get(v, -1):
-                            result[v] = base0 + val
+                    scan(inner, u, base0, base1)
+        # Every node of a component the sweep reaches has in0 >= 0 by now.
         for v in comp:
             value0, value1 = in0[v], in1[v]
             if max(value0, value1) > result.get(v, -1):
                 result[v] = max(value0, value1)
             for dst, w in adj[v]:
                 if not members >> dst & 1:
-                    if value0 >= 0 and value0 + w > in0[dst]:
+                    if value0 + w > in0[dst]:
                         in0[dst] = value0 + w
                     if value1 >= 0 and value1 + w > in1[dst]:
                         in1[dst] = value1 + w

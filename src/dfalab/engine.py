@@ -111,13 +111,6 @@ def entity_space(entities: tuple[Entity, ...], lattice: ComponentLattice) -> Ent
     return (MaskSpace if lattice.height == 1 else EntitySpace)(entities, lattice)
 
 
-def product_height(component_height: int, entity_count: int) -> int:
-    """Height of the product lattice: component height times entity count."""
-    if component_height < 0 or entity_count < 0:
-        raise ValueError("heights and entity counts are non-negative")
-    return component_height * entity_count
-
-
 @dataclass(frozen=True)
 class FrameworkInstance:
     """A data flow framework instantiated on one program.
@@ -177,7 +170,7 @@ class DivergenceError(RuntimeError):
 
 
 def _pass_budget(fw: FrameworkInstance, cfg: ControlFlowGraph) -> int:
-    return 2 + product_height(fw.lattice.height, len(fw.space)) * len(cfg.nodes)
+    return 2 + fw.lattice.height * len(fw.space) * len(cfg.nodes)
 
 
 @dataclass(frozen=True)

@@ -131,8 +131,8 @@ def expression_key(stmt: Statement) -> str | None:
 
 
 # What validation and the analyses read of one statement: its
-# (stmt_target, stmt_uses, the uses in ascending order, expression_key).
-StmtFacts = tuple[str | None, frozenset[str], tuple[str, ...], str | None]
+# (stmt_target, stmt_uses, expression_key).
+StmtFacts = tuple[str | None, frozenset[str], str | None]
 
 
 def _render_operand(op: Union[str, int]) -> str:
@@ -180,11 +180,7 @@ class Program:
         """Each node's StmtFacts, in ``nodes`` order, derived once per program."""
         facts: dict[int, StmtFacts] = {}
         for node, stmt in self.nodes.items():
-            uses = stmt_uses(stmt)
-            # A statement reads at most two names; only a pair needs sorting.
-            facts[node] = (stmt_target(stmt), uses,
-                           tuple(sorted(uses) if len(uses) > 1 else uses),
-                           expression_key(stmt))
+            facts[node] = (stmt_target(stmt), stmt_uses(stmt), expression_key(stmt))
         return facts
 
 
@@ -436,7 +432,7 @@ def _walk(program: Program) -> tuple[list[Diagnostic], dict, dict, tuple[int, ..
         seen_vars.add(var)
 
     ids_valid = True
-    for node_id, (target, uses, _, _) in program.facts.items():
+    for node_id, (target, uses, _) in program.facts.items():
         if not isinstance(node_id, int) or node_id <= 0:
             ids_valid = False
             diags.append(Diagnostic("invalid-node-id",

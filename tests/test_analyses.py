@@ -22,7 +22,7 @@ from dfalab.analyses import (
     make_faint_variables,
     program_expressions,
 )
-from dfalab.engine import EntitySpace, MaskSpace, product_height
+from dfalab.engine import EntitySpace, MaskSpace
 from dfalab.analyses import CP_LATTICE
 from dfalab.generator import GeneratorConfig, generate_program
 from dfalab.ir import (
@@ -132,7 +132,7 @@ class TestCpFramework:
         fw = make_constant_propagation(fig3)
         assert len(fw.entities) == 4
         assert fw.lattice.height == 2
-        assert product_height(fw.lattice.height, len(fw.space)) == 8
+        assert fw.lattice.height * len(fw.space) == 8
         assert fw.direction == "forward"
 
     def test_fig3_dfp_sets(self, fig3):
@@ -184,7 +184,7 @@ class TestFaintVariables:
         fw = make_faint_variables(fig3)
         assert fw.direction == "backward"
         assert fw.lattice.height == 1
-        assert product_height(fw.lattice.height, len(fw.space)) == 4
+        assert fw.lattice.height * len(fw.space) == 4
         assert fw.dfpuse[5] == frozenset({"x"})
         # print x at node 2 reads nothing and makes x not faint.
         edg = ProgramPipeline(fig3).edg("faint")

@@ -7,28 +7,28 @@ import pytest
 
 from dfalab import ANALYSIS_KINDS, GeneratorConfig, emit_report, fixtures, generate_corpus
 from dfalab import bounds, ir
-from dfalab.bounds import CSV_HEADER, ProgramPipeline, edg_bound, simplistic_bound
+from dfalab.bounds import CSV_HEADER, BoundsRecord, ProgramPipeline
 
 # sha256 of the CSV report over the seed-7, 300-program irreducible
 # corpus (`--nodes 40 --irreducible 0.05`), all five kinds.
 IRREDUCIBLE_REPORT_SHA256 = "c3c0a0f22a72ffeb83f052385baca4eb16944dcd44a4491486ed6d1c7533dcdd"
 
 
+def a_record(**measured):
+    """A record of one made-up program, with `measured` overriding the defaults."""
+    fields = dict(program="p", analysis="cp", nodes=1, vars=1, d=0, h_hat=1, delta=0,
+                  iterations=1)
+    return BoundsRecord(**{**fields, **measured})
+
+
 @pytest.mark.parametrize("d,H,expected", [(3, 8, 25), (3, 4, 13), (0, 17, 1), (0, 0, 1)])
 def test_simplistic_bound(d, H, expected):
-    assert simplistic_bound(d, H) == expected
+    assert a_record(d=d, vars=H).b1 == expected
 
 
 @pytest.mark.parametrize("d,delta,expected", [(3, 6, 10), (3, 0, 4), (0, 0, 1)])
 def test_edg_bound(d, delta, expected):
-    assert edg_bound(d, delta) == expected
-
-
-def test_bounds_reject_negative_inputs():
-    with pytest.raises(ValueError):
-        simplistic_bound(-1, 3)
-    with pytest.raises(ValueError):
-        edg_bound(1, -2)
+    assert a_record(d=d, delta=delta).b2 == expected
 
 
 def test_pipeline_derives_each_statements_facts_once(monkeypatch):

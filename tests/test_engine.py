@@ -24,13 +24,13 @@ from dfalab.analyses import (
     UNDEF,
     make_faint_variables,
 )
+from dfalab.bounds import BoundsRecord
 from dfalab.cfg_metrics import FORWARD
 from dfalab.engine import (
     EntitySpace,
     FrameworkInstance,
     MaskSpace,
     entity_space,
-    product_height,
 )
 from dfalab.generator import GeneratorConfig, generate_program
 from dfalab.ir import ConstAssign, Print, Skip
@@ -98,7 +98,10 @@ class TestProductValues:
 
 @pytest.mark.parametrize("h_hat,xi,expected", [(2, 4, 8), (1, 4, 4), (1, 1, 1), (0, 7, 0)])
 def test_product_height(h_hat, xi, expected):
-    assert product_height(h_hat, xi) == expected
+    # The record derives H, the product-lattice height, from its measurements.
+    record = BoundsRecord(program="p", analysis="cp", nodes=1, vars=xi, d=0, h_hat=h_hat,
+                          delta=0, iterations=1)
+    assert record.H == expected
 
 
 class TestRoundRobinCalibration:
